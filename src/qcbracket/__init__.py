@@ -16,13 +16,11 @@ from .algebra import (
     NotDivisibleError,
     Observable,
     QCMonomial,
-    add,
     divide_by_i_hbar,
     from_scalar,
     generator,
     hbar_zero,
     monomial_observable,
-    mul,
     partial_k,
     partial_p,
     partial_q,
@@ -49,11 +47,9 @@ from .brackets import (
 )
 from .cli import (
     ExponentError,
-    ExpressionAST,
     OutputRecord,
     format_observable,
     parse,
-    parse_ast,
     run,
 )
 from .explorer import (
@@ -75,9 +71,7 @@ __all__ = [
     "ONE",
     "generator",
     "from_scalar",
-    "add",
     "scale",
-    "mul",
     "reorder",
     "partial_x",
     "partial_k",
@@ -107,11 +101,9 @@ __all__ = [
     "scan",
     "random_observable",
     "axiom_sweep",
-    "ExpressionAST",
     "ExponentError",
     "OutputRecord",
     "parse",
-    "parse_ast",
     "format_observable",
     "run",
 ]

@@ -84,7 +84,6 @@ class GaussianRational:
 
 
 _GR_ZERO = GaussianRational()
-_GR_ONE = GaussianRational(1)
 _GR_I = GaussianRational(0, 1)
 
 # Powers of (-i), indexed by exponent mod 4.
@@ -350,11 +349,6 @@ def from_scalar(value: ScalarLike) -> Observable:
     return Observable({_UNIT_MONOMIAL: _as_series(value)})
 
 
-def add(a: Observable, b: Observable) -> Observable:
-    """Termwise sum with zero pruning."""
-    return a + b
-
-
 def scale(coeff: ScalarLike, a: Observable) -> Observable:
     """Multiply every coefficient by a central scalar."""
     series = _as_series(coeff)
@@ -400,14 +394,6 @@ def _product(a: Observable, b: Observable) -> Observable:
                 prev = acc.get(mono)
                 acc[mono] = c12 * w if prev is None else prev + c12 * w
     return Observable(acc)
-
-
-def mul(a: Observable, b: Observable) -> Observable:
-    """Operator product in canonical normal-ordered form.
-
-    Associative, and commutative only when no q, p reordering is involved.
-    """
-    return a * b
 
 
 def _partial(a: Observable, axis: int) -> Observable:

@@ -32,11 +32,9 @@ from .algebra import (
     HbarSeries,
     Observable,
     QCMonomial,
-    add,
     from_scalar,
     generator,
     monomial_observable,
-    mul,
 )
 from .brackets import BracketKind, jacobi_residual, leibniz_residual
 from .brackets import bracket as bracket_of
@@ -50,46 +48,6 @@ _SYMBOL_NAMES = ("x", "k", "q", "p", "hbar", "i")
 
 class ExponentError(SyntaxError):
     """Exponent outside the supported range (negative, or above the cap)."""
-
-
-# --- expression trees -------------------------------------------------------
-
-class ExpressionAST:
-    """Base class for parsed expression nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Sum(ExpressionAST):
-    parts: tuple[ExpressionAST, ...]
-
-
-@dataclass(frozen=True)
-class Product(ExpressionAST):
-    # Written left-to-right order; q and p do not commute.
-    factors: tuple[ExpressionAST, ...]
-
-
-@dataclass(frozen=True)
-class Power(ExpressionAST):
-    base: ExpressionAST
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Negation(ExpressionAST):
-    operand: ExpressionAST
-
-
-@dataclass(frozen=True)
-class Symbol(ExpressionAST):
-    name: str
-
-
-@dataclass(frozen=True)
-class RationalLiteral(ExpressionAST):
-    value: Fraction
 
 
 # --- tokenizer and parser ---------------------------------------------------
@@ -155,34 +113,31 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> ExpressionAST:
-        parts = [self.term()]
+    def expr(self) -> Observable:
+        result = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take()
             part = self.term()
-            parts.append(Negation(part) if op.kind == "-" else part)
-        if len(parts) == 1:
-            return parts[0]
-        return Sum(tuple(parts))
+            result = result - part if op.kind == "-" else result + part
+        return result
 
-    def term(self) -> ExpressionAST:
+    def term(self) -> Observable:
         if self.peek().kind == "-":
             self.take()
-            return Negation(self.term())
-        factors = [self.factor()]
+            return -self.term()
+        # Left fold in written order; q and p do not commute.
+        result = self.factor()
         while self.peek().kind == "*":
             self.take()
-            factors.append(self.factor())
+            result = result * self.factor()
         nxt = self.peek()
         if nxt.kind in ("int", "name", "("):
             raise SyntaxError(
                 f"unexpected {nxt.text!r} at position {nxt.pos}"
                 " (use '*' between factors)")
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+        return result
 
-    def factor(self) -> ExpressionAST:
+    def factor(self) -> Observable:
         base = self.base()
         if self.peek().kind != "^":
             return base
@@ -199,14 +154,14 @@ class _Parser:
             raise ExponentError(
                 f"exponent {exponent} at position {tok.pos}"
                 f" exceeds the cap of {EXPONENT_CAP}")
-        return Power(base, exponent)
+        return base ** exponent
 
-    def base(self) -> ExpressionAST:
+    def base(self) -> Observable:
         tok = self.take()
         if tok.kind == "int":
             numerator = int(tok.text)
             if self.peek().kind != "/":
-                return RationalLiteral(Fraction(numerator))
+                return from_scalar(Fraction(numerator))
             self.take()
             den = self.peek()
             if den.kind != "int":
@@ -215,10 +170,10 @@ class _Parser:
             self.take()
             if int(den.text) == 0:
                 raise SyntaxError(f"zero denominator at position {den.pos}")
-            return RationalLiteral(Fraction(numerator, int(den.text)))
+            return from_scalar(Fraction(numerator, int(den.text)))
         if tok.kind == "name":
             if tok.text in _SYMBOL_NAMES:
-                return Symbol(tok.text)
+                return generator(tok.text)
             raise _unknown_symbol(tok)
         if tok.kind == "(":
             inner = self.expr()
@@ -230,44 +185,17 @@ class _Parser:
         raise SyntaxError(f"unexpected {tok.text!r} at position {tok.pos}")
 
 
-def parse_ast(text: str) -> ExpressionAST:
-    """Parse to an expression tree without evaluating it."""
+def parse(text: str) -> Observable:
+    """Parse and evaluate, returning the canonical observable."""
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    result = parser.expr()
     tok = parser.peek()
     if tok.kind != "end":
         hint = ""
         if tok.kind == "/":
             hint = " ('/' is only valid inside a rational literal like 1/2)"
         raise SyntaxError(f"unexpected {tok.text!r} at position {tok.pos}{hint}")
-    return node
-
-
-def _evaluate(node: ExpressionAST) -> Observable:
-    if isinstance(node, RationalLiteral):
-        return from_scalar(node.value)
-    if isinstance(node, Symbol):
-        return generator(node.name)
-    if isinstance(node, Negation):
-        return -_evaluate(node.operand)
-    if isinstance(node, Power):
-        return _evaluate(node.base) ** node.exponent
-    if isinstance(node, Product):
-        result = _evaluate(node.factors[0])
-        for factor in node.factors[1:]:
-            result = mul(result, _evaluate(factor))
-        return result
-    if isinstance(node, Sum):
-        result = _evaluate(node.parts[0])
-        for part in node.parts[1:]:
-            result = add(result, _evaluate(part))
-        return result
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def parse(text: str) -> Observable:
-    """Parse and evaluate, returning the canonical observable."""
-    return _evaluate(parse_ast(text))
+    return result
 
 
 # --- canonical text ---------------------------------------------------------
@@ -530,7 +458,9 @@ def run(argv: Sequence[str]) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.handler(args)
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError, ArithmeticError) as exc:
+        # Parse and resource errors (say, a coefficient too long to print)
+        # exit 2: exit 1 means a violation was found.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

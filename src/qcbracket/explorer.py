@@ -15,7 +15,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -46,7 +46,6 @@ class ScanConfig:
     max_degree: int = 3
     sector: str = "all"
     include_zero: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.identity not in IDENTITIES:
@@ -132,12 +131,11 @@ def _evaluate(config: ScanConfig, monos: Sequence[QCMonomial],
 
 
 def _scan_range(config: ScanConfig, lo: int, hi: int):
-    # Workers re-derive the triple list; only (config, lo, hi) crosses the
-    # process boundary on the way in.
+    # Workers re-derive their span of the triple enumeration; only
+    # (config, lo, hi) crosses the process boundary on the way in.
     monos = _sector_monomials(config)
-    triples = list(_index_triples(config, len(monos)))[lo:hi]
     out = []
-    for idx in triples:
+    for idx in islice(_index_triples(config, len(monos)), lo, hi):
         hit = _evaluate(config, monos, idx)
         if hit is not None:
             out.append(hit)

@@ -20,7 +20,6 @@ from qcbracket import (
     classical_limit_residual,
     hbar_zero,
     jacobi_residual,
-    mul,
     normal_bracket,
     ordered_poisson,
     quantum_bracket,
@@ -184,7 +183,7 @@ def test_criterion_11_property_suite(capsys):
         a = random_observable(20000 + case, 3, 3)
         b = random_observable(21000 + case, 3, 3)
         c = random_observable(22000 + case, 3, 3)
-        ok = ok and mul(mul(a, b), c) == mul(a, mul(b, c))
+        ok = ok and (a * b) * c == a * (b * c)
 
     for case in range(1000):
         kind = kinds[case % 4]

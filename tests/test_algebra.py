@@ -13,12 +13,10 @@ from qcbracket import (
     NotDivisibleError,
     Observable,
     QCMonomial,
-    add,
     divide_by_i_hbar,
     from_scalar,
     generator,
     hbar_zero,
-    mul,
     partial_k,
     partial_p,
     partial_q,
@@ -131,7 +129,7 @@ def test_generator_q_is_the_basis_element():
 
 def test_generator_one_is_the_identity():
     assert generator("one") == ONE
-    assert mul(ONE, Q) == Q
+    assert ONE * Q == Q
 
 
 def test_generator_hbar_is_a_degree_one_scalar():
@@ -139,7 +137,7 @@ def test_generator_hbar_is_a_degree_one_scalar():
 
 
 def test_generator_i():
-    assert mul(I, I) == scale(-1, ONE)
+    assert I * I == scale(-1, ONE)
 
 
 def test_generator_rejects_unknown_names():
@@ -148,17 +146,17 @@ def test_generator_rejects_unknown_names():
 
 
 def test_add_inverse_and_merge():
-    assert add(X, scale(-1, X)) == ZERO
-    assert add(Q, P) == build({(0, 0, 1, 0): {0: (1, 0)}, (0, 0, 0, 1): {0: (1, 0)}})
-    xq = mul(X, Q)
-    assert add(xq, xq) == scale(2, xq)
+    assert X + scale(-1, X) == ZERO
+    assert Q + P == build({(0, 0, 1, 0): {0: (1, 0)}, (0, 0, 0, 1): {0: (1, 0)}})
+    xq = X * Q
+    assert xq + xq == scale(2, xq)
 
 
 def test_scale_examples():
-    assert scale(0, mul(X, Q)) == ZERO
+    assert scale(0, X * Q) == ZERO
     i_hbar = HbarSeries.hbar(1, GaussianRational(0, 1))
     assert scale(i_hbar, ONE) == build({(0, 0, 0, 0): {1: (0, 1)}})
-    hbar_sq = mul(HBAR, HBAR)
+    hbar_sq = HBAR * HBAR
     assert scale(Fraction(1, 2), hbar_sq) == build({(0, 0, 0, 0): {2: ((1, 2), 0)}})
 
 
@@ -206,7 +204,7 @@ def test_reorder_matches_swap_oracle_up_to_degree_six():
 # --- products ----------------------------------------------------------------
 
 def test_mul_defining_relation():
-    assert mul(P, Q) == build({
+    assert P * Q == build({
         (0, 0, 1, 1): {0: (1, 0)},
         (0, 0, 0, 0): {1: (0, -1)},
     })
@@ -214,31 +212,30 @@ def test_mul_defining_relation():
 
 def test_mul_classical_variables_commute():
     xk = build({(1, 1, 0, 0): {0: (1, 0)}})
-    assert mul(X, K) == xk
-    assert mul(K, X) == xk
+    assert X * K == xk
+    assert K * X == xk
 
 
 def test_mul_normal_ordered_fixed_point():
-    assert mul(Q, P) == build({(0, 0, 1, 1): {0: (1, 0)}})
+    assert Q * P == build({(0, 0, 1, 1): {0: (1, 0)}})
 
 
 def test_mul_p2_q2():
-    p2, q2 = mul(P, P), mul(Q, Q)
-    assert mul(p2, q2) == swap_normal_form(2, 2)
+    p2, q2 = P * P, Q * Q
+    assert p2 * q2 == swap_normal_form(2, 2)
 
 
 def test_mul_mixed_sectors_factorize():
     # x and k ride along untouched while the quantum word reorders
-    lhs = mul(mul(X, P), mul(K, Q))
-    expected = scale(1, mul(mul(X, K), reorder(1, 1)))
+    lhs = (X * P) * (K * Q)
+    expected = scale(1, (X * K) * reorder(1, 1))
     assert lhs == expected
 
 
 def test_pow():
     assert Q ** 0 == ONE
-    assert Q ** 3 == mul(Q, mul(Q, Q))
-    assert (add(Q, P)) ** 2 == add(add(mul(Q, Q), scale(2, mul(Q, P))),
-                                   add(mul(P, P), scale(-1, mul(I, HBAR))))
+    assert Q ** 3 == Q * (Q * Q)
+    assert (Q + P) ** 2 == ((Q * Q) + scale(2, Q * P)) + ((P * P) + scale(-1, I * HBAR))
     with pytest.raises(ValueError):
         Q ** -1
 
@@ -246,47 +243,47 @@ def test_pow():
 # --- derivatives -------------------------------------------------------------
 
 def test_partial_x_power_rule():
-    x2kq = mul(mul(X, X), mul(K, Q))
-    assert partial_x(x2kq) == scale(2, mul(X, mul(K, Q)))
+    x2kq = (X * X) * (K * Q)
+    assert partial_x(x2kq) == scale(2, X * (K * Q))
 
 
 def test_partials_of_missing_variables_vanish():
-    assert partial_k(mul(X, Q)) == ZERO
-    assert partial_x(mul(mul(K, K), P)) == ZERO
+    assert partial_k(X * Q) == ZERO
+    assert partial_x((K * K) * P) == ZERO
 
 
 def test_quantum_partials():
-    q2p = mul(mul(Q, Q), P)
-    assert partial_q(q2p) == scale(2, mul(Q, P))
-    assert partial_p(q2p) == mul(Q, Q)
+    q2p = (Q * Q) * P
+    assert partial_q(q2p) == scale(2, Q * P)
+    assert partial_p(q2p) == Q * Q
 
 
 def test_partials_commute():
-    a = add(mul(mul(X, Q), mul(K, P)), scale(3, mul(X, X)))
+    a = ((X * Q) * (K * P)) + scale(3, X * X)
     assert partial_x(partial_k(a)) == partial_k(partial_x(a))
 
 
 # --- hbar structure ----------------------------------------------------------
 
 def test_divide_by_i_hbar_examples():
-    i_hbar = mul(I, HBAR)
+    i_hbar = I * HBAR
     assert divide_by_i_hbar(i_hbar) == ONE
-    two_h2_q = scale(2, mul(mul(HBAR, HBAR), Q))
-    assert divide_by_i_hbar(two_h2_q) == scale(-2, mul(I, mul(HBAR, Q)))
+    two_h2_q = scale(2, (HBAR * HBAR) * Q)
+    assert divide_by_i_hbar(two_h2_q) == scale(-2, I * (HBAR * Q))
     with pytest.raises(NotDivisibleError):
         divide_by_i_hbar(X)
 
 
 def test_hbar_zero_examples():
-    assert hbar_zero(reorder(1, 1)) == mul(Q, P)
-    assert hbar_zero(scale(Fraction(1, 2), mul(HBAR, HBAR))) == ZERO
-    a = add(mul(X, Q), scale(3, mul(K, P)))
+    assert hbar_zero(reorder(1, 1)) == Q * P
+    assert hbar_zero(scale(Fraction(1, 2), HBAR * HBAR)) == ZERO
+    a = (X * Q) + scale(3, K * P)
     assert hbar_zero(a) == a
 
 
 def test_min_hbar_degree():
-    assert mul(HBAR, Q).min_hbar_degree() == 1
-    assert add(Q, mul(HBAR, Q)).min_hbar_degree() == 0
+    assert (HBAR * Q).min_hbar_degree() == 1
+    assert (Q + HBAR * Q).min_hbar_degree() == 0
     assert ZERO.min_hbar_degree() is None
 
 
@@ -299,7 +296,7 @@ def test_symbol_poisson_canonical_pairs():
 
 
 def test_symbol_poisson_hand_value():
-    qp, q2 = mul(Q, P), mul(Q, Q)
+    qp, q2 = Q * P, Q * Q
     assert symbol_poisson(qp, q2) == scale(-2, q2)
 
 
@@ -311,27 +308,27 @@ def test_symbol_poisson_rejects_hbar():
 # --- canonical representation ------------------------------------------------
 
 def test_construction_paths_agree():
-    via_left = mul(mul(Q, P), Q)
-    via_right = mul(Q, mul(P, Q))
+    via_left = (Q * P) * Q
+    via_right = Q * (P * Q)
     assert via_left == via_right
-    assert add(add(X, Q), P) == add(X, add(Q, P))
+    assert (X + Q) + P == X + (Q + P)
 
 
 def test_zero_is_the_empty_association():
-    diff = add(mul(P, Q), scale(-1, mul(P, Q)))
+    diff = (P * Q) + scale(-1, P * Q)
     assert diff == ZERO
     assert not diff.terms
 
 
 def test_sector_predicates():
-    assert mul(X, K).is_classical()
-    assert mul(Q, P).is_quantum()
-    assert not mul(X, Q).is_classical()
+    assert (X * K).is_classical()
+    assert (Q * P).is_quantum()
+    assert not (X * Q).is_classical()
     assert ZERO.is_classical() and ZERO.is_quantum()
 
 
 def test_observables_pickle():
-    a = add(mul(X, reorder(2, 1)), scale(Fraction(5, 3), mul(K, HBAR)))
+    a = (X * reorder(2, 1)) + scale(Fraction(5, 3), K * HBAR)
     assert pickle.loads(pickle.dumps(a)) == a
     s = HbarSeries({2: GaussianRational(1, Fraction(1, 3))})
     assert pickle.loads(pickle.dumps(s)) == s

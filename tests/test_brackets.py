@@ -15,7 +15,6 @@ from qcbracket import (
     generator,
     jacobi_residual,
     leibniz_residual,
-    mul,
     normal_bracket,
     normal_bracket_classical,
     ordered_poisson,
@@ -44,7 +43,7 @@ def test_quantum_bracket_canonical_pair():
 
 def test_quantum_bracket_classical_commutes():
     assert quantum_bracket(X, P) == ZERO
-    assert quantum_bracket(mul(X, K), mul(X, Q)) == ZERO
+    assert quantum_bracket(X * K, X * Q) == ZERO
 
 
 def test_quantum_bracket_q2_p2():
@@ -63,7 +62,7 @@ def test_ordered_poisson_canonical_classical_pair():
 
 
 def test_ordered_poisson_hand_value():
-    assert ordered_poisson(mul(X, Q), K) == Q
+    assert ordered_poisson(X * Q, K) == Q
 
 
 def test_ordered_poisson_no_classical_dependence():
@@ -82,7 +81,7 @@ def test_ordered_poisson_operator_order_is_as_written():
 # --- aleksandrov_bracket ------------------------------------------------------
 
 def test_aleksandrov_bracket_mixed_classical_pair():
-    assert aleksandrov_bracket(mul(X, Q), K) == Q
+    assert aleksandrov_bracket(X * Q, K) == Q
 
 
 def test_aleksandrov_bracket_vanishes_on_equal_arguments():
@@ -96,7 +95,7 @@ def test_aleksandrov_bracket_vanishes_on_equal_arguments():
 def test_normal_bracket_classical_part_examples():
     assert normal_bracket_classical(parse("k*p"), parse("x*p")) == parse("-p^2")
     assert normal_bracket_classical(Q, P) == ZERO
-    assert normal_bracket_classical(mul(X, Q), K) == Q
+    assert normal_bracket_classical(X * Q, K) == Q
 
 
 def test_normal_bracket_display_values():
@@ -127,7 +126,7 @@ def test_bracket_dispatch():
     assert bracket(BracketKind.COMMUTATOR, Q, P) == ONE
     assert bracket(BracketKind.POISSON, X, K) == ONE
     assert bracket(BracketKind.NORMAL_ORDER, parse("k*p"), parse("x*p")) == parse("-p^2")
-    assert bracket(BracketKind.ALEKSANDROV, mul(X, Q), K) == Q
+    assert bracket(BracketKind.ALEKSANDROV, X * Q, K) == Q
 
 
 def test_kind_names():
@@ -223,15 +222,15 @@ def test_axiom_residuals_trivial_classical_factor():
 
 def test_axiom_residuals_reject_mixed_inputs():
     with pytest.raises(InvalidSectorError):
-        axiom_residuals(BracketKind.NORMAL_ORDER, mul(X, Q), P, K, Q)
+        axiom_residuals(BracketKind.NORMAL_ORDER, X * Q, P, K, Q)
     with pytest.raises(InvalidSectorError):
-        axiom_residuals(BracketKind.NORMAL_ORDER, X, mul(X, P), K, Q)
+        axiom_residuals(BracketKind.NORMAL_ORDER, X, X * P, K, Q)
 
 
 # --- classical limit ----------------------------------------------------------
 
 def test_classical_limit_mixed_kinds():
-    xq, kp = mul(X, Q), mul(K, P)
+    xq, kp = X * Q, K * P
     assert classical_limit_residual(BracketKind.ALEKSANDROV, xq, kp).is_zero
     assert classical_limit_residual(BracketKind.NORMAL_ORDER, xq, kp).is_zero
 
@@ -243,7 +242,7 @@ def test_classical_limit_commutator():
 
 def test_classical_limit_commutator_requires_quantum_inputs():
     with pytest.raises(InvalidSectorError):
-        classical_limit_residual(BracketKind.COMMUTATOR, mul(X, Q), P)
+        classical_limit_residual(BracketKind.COMMUTATOR, X * Q, P)
 
 
 def test_classical_limit_rejects_poisson_kind():

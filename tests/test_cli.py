@@ -1,6 +1,7 @@
 """Surface syntax, canonical text, JSON records, and the subcommands."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,24 +9,17 @@ import pytest
 from qcbracket import (
     BracketKind,
     ZERO,
+    from_scalar,
     generator,
     jacobi_residual,
-    mul,
     random_observable,
     scale,
 )
 from qcbracket.cli import (
     ExponentError,
-    Negation,
     OutputRecord,
-    Power,
-    Product,
-    RationalLiteral,
-    Sum,
-    Symbol,
     format_observable,
     parse,
-    parse_ast,
     run,
 )
 from oracles import build
@@ -36,7 +30,7 @@ X, K, Q, P = (generator(n) for n in "xkqp")
 # --- parsing -------------------------------------------------------------------
 
 def test_parse_monomials():
-    assert parse("x*q") == mul(X, Q)
+    assert parse("x*q") == X * Q
     assert parse("k^2*p") == build({(0, 2, 0, 1): {0: (1, 0)}})
 
 
@@ -53,21 +47,21 @@ def test_parse_scalar_with_hbar_power():
 
 
 def test_parse_preserves_written_order():
-    ast = parse_ast("p*q")
-    assert ast == Product((Symbol("p"), Symbol("q")))
+    assert parse("p*q") == P * Q != parse("q*p")
+    assert parse("q*p") == Q * P
 
 
-def test_parse_ast_shapes():
-    assert parse_ast("1/2") == RationalLiteral(Fraction(1, 2))
-    assert parse_ast("-x") == Negation(Symbol("x"))
-    assert parse_ast("q^3") == Power(Symbol("q"), 3)
-    assert parse_ast("x + k - p") == Sum(
-        (Symbol("x"), Symbol("k"), Negation(Symbol("p"))))
+def test_parse_evaluates_each_construct():
+    assert parse("1/2") == from_scalar(Fraction(1, 2))
+    assert parse("1/2") == build({(0, 0, 0, 0): {0: ((1, 2), 0)}})
+    assert parse("-x") == -X == scale(-1, X)
+    assert parse("q^3") == Q ** 3 == Q * Q * Q
+    assert parse("x + k - p") == X + K - P
 
 
 def test_parse_precedence_and_grouping():
-    assert parse("2*q^2") == scale(2, mul(Q, Q))
-    assert parse("(q + p)^2") == mul(parse("q + p"), parse("q + p"))
+    assert parse("2*q^2") == scale(2, Q * Q)
+    assert parse("(q + p)^2") == parse("q + p") * parse("q + p")
     assert parse("x - -k") == parse("x + k")
 
 
@@ -304,3 +298,21 @@ def test_usage_errors_exit_2(capsys):
     assert run(["bracket", "--kind", "weyl", "x", "k"]) == 2
     assert run(["scan", "--kind", "normal", "--max-degree", "-1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this Python")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unprintable_result_exits_2(capsys, fmt):
+    # A coefficient past the int-to-str digit limit is a resource error, not
+    # a violation (exit 1) and not a traceback.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run(["canon", "(p^64)^8*(q^64)^8", "--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -10,7 +10,6 @@ from qcbracket import (
     GaussianRational,
     HbarSeries,
     Observable,
-    add,
     aleksandrov_bracket,
     axiom_residuals,
     bracket,
@@ -18,7 +17,6 @@ from qcbracket import (
     enumerate_monomials,
     hbar_zero,
     jacobi_residual,
-    mul,
     normal_bracket,
     ordered_poisson,
     quantum_bracket,
@@ -60,26 +58,26 @@ def observables(draw, max_degree=3, max_terms=3, sector="all"):
 @settings(deadline=None)
 @given(observables(), observables(), observables())
 def test_mul_is_associative(a, b, c):
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 @settings(deadline=None)
 @given(observables(), observables(), observables())
 def test_mul_distributes_over_add(a, b, c):
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-    assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+    assert a * (b + c) == (a * b) + (a * c)
+    assert (a + b) * c == (a * c) + (b * c)
 
 
 @settings(deadline=None)
 @given(observables(sector="classical"), observables())
 def test_classical_factors_commute(c, a):
-    assert mul(c, a) == mul(a, c)
+    assert c * a == a * c
 
 
 @settings(deadline=None)
 @given(observables(), observables())
 def test_commutators_are_order_hbar(a, b):
-    gap = add(mul(a, b), scale(-1, mul(b, a)))
+    gap = (a * b) + scale(-1, b * a)
     assert gap == ZERO or gap.min_hbar_degree() >= 1
 
 
@@ -89,13 +87,13 @@ def test_hbar_grading_of_products(a, b):
     assume(a and b)
     # no zero divisors: the lowest hbar layers multiply like commutative
     # polynomials over a field
-    assert mul(a, b).min_hbar_degree() == a.min_hbar_degree() + b.min_hbar_degree()
+    assert (a * b).min_hbar_degree() == a.min_hbar_degree() + b.min_hbar_degree()
 
 
 @settings(deadline=None)
 @given(observables(), observables())
 def test_hbar_zero_is_multiplicative(a, b):
-    assert hbar_zero(mul(a, b)) == hbar_zero(mul(hbar_zero(a), hbar_zero(b)))
+    assert hbar_zero(a * b) == hbar_zero(hbar_zero(a) * hbar_zero(b))
 
 
 # --- bracket linearity and symmetry ------------------------------------------
@@ -104,11 +102,11 @@ def test_hbar_zero_is_multiplicative(a, b):
 @given(st.sampled_from(MIXED + (BracketKind.COMMUTATOR, BracketKind.POISSON)),
        rationals, rationals, observables(), observables(), observables())
 def test_brackets_are_bilinear(kind, r, s, a, b, c):
-    combined = add(scale(r, a), scale(s, b))
+    combined = scale(r, a) + scale(s, b)
     left = bracket(kind, combined, c)
-    assert left == add(scale(r, bracket(kind, a, c)), scale(s, bracket(kind, b, c)))
+    assert left == scale(r, bracket(kind, a, c)) + scale(s, bracket(kind, b, c))
     right = bracket(kind, c, combined)
-    assert right == add(scale(r, bracket(kind, c, a)), scale(s, bracket(kind, c, b)))
+    assert right == scale(r, bracket(kind, c, a)) + scale(s, bracket(kind, c, b))
 
 
 @settings(deadline=None)
