@@ -14,10 +14,9 @@ function of its inputs, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Mapping, NamedTuple, Union
 
 
@@ -28,62 +27,121 @@ class NotDivisibleError(ArithmeticError):
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
-    ``Fraction`` keeps both parts in lowest terms with a positive
-    denominator, so equality is plain value equality.
+    The value (a + b*i)/d is stored as three ints with d > 0 and
+    gcd(a, b, d) == 1, so each value has exactly one representation and
+    equality is plain field equality.  ``re`` and ``im`` read the parts back
+    as ``Fraction``s in lowest terms.  Arithmetic on two values is a few int
+    products and one gcd.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        return _gr(re.numerator * (d // re.denominator),
+                   im.numerator * (d // im.denominator), d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GaussianRational is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return (_gr, (self._a, self._b, self._d))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _gr(self._a + other._a, self._b + other._b, d1)
+        return _gr(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _gr(self._a - other._a, self._b - other._b, d1)
+        return _gr(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational | RationalLike") -> "GaussianRational":
         if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+            return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
+            n = other.numerator
+            return _gr(self._a * n, self._b * n, self._d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "GaussianRational | RationalLike") -> "GaussianRational":
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re / other, self.im / other)
-        norm = other.re * other.re + other.im * other.im
+            n, m = other.numerator, other.denominator
+            if not n:
+                raise ZeroDivisionError("division by zero")
+            if n < 0:
+                n, m = -n, -m
+            return _gr(self._a * m, self._b * m, self._d * n)
+        # 1/((a + b*i)/d) = d*(a - b*i)/(a^2 + b^2)
+        a, b, d = other._a, other._b, other._d
+        norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / norm, -other.im / norm)
+        return self * _gr(d * a, -d * b, norm)
 
     def divided_by_i(self) -> "GaussianRational":
         # (a + b*i)/i = b - a*i
-        return GaussianRational(self.im, -self.re)
+        return _gr(self._b, -self._a, self._d)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_GR_ZERO = GaussianRational()
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """Trusted constructor of (a + b*i)/d from ints with d > 0; reduces by the gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
 _GR_I = GaussianRational(0, 1)
 
 # Powers of (-i), indexed by exponent mod 4.
@@ -132,7 +190,7 @@ class HbarSeries:
         raise AttributeError("HbarSeries is immutable")
 
     def __reduce__(self):
-        return (HbarSeries, (self.terms,))
+        return (_series, (self.terms,))
 
     @classmethod
     def hbar(cls, degree: int = 1, coeff: ScalarLike = 1) -> "HbarSeries":
@@ -149,25 +207,26 @@ class HbarSeries:
     def __add__(self, other: "HbarSeries") -> "HbarSeries":
         merged = dict(self.terms)
         for degree, coeff in other.terms.items():
-            merged[degree] = merged.get(degree, _GR_ZERO) + coeff
-        return HbarSeries(merged)
+            prev = merged.get(degree)
+            merged[degree] = coeff if prev is None else prev + coeff
+        return _series(merged)
 
     def __sub__(self, other: "HbarSeries") -> "HbarSeries":
         return self + (-other)
 
     def __neg__(self) -> "HbarSeries":
-        return HbarSeries({d: -c for d, c in self.terms.items()})
+        return _series({d: -c for d, c in self.terms.items()})
 
     def __mul__(self, other: "HbarSeries | GaussianRational | RationalLike") -> "HbarSeries":
         if isinstance(other, (GaussianRational, int, Fraction)):
-            g = _as_gaussian(other)
-            return HbarSeries({d: c * g for d, c in self.terms.items()})
+            return _series({d: c * other for d, c in self.terms.items()})
         out: dict[int, GaussianRational] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
                 d = d1 + d2
-                out[d] = out.get(d, _GR_ZERO) + c1 * c2
-        return HbarSeries(out)
+                prev = out.get(d)
+                out[d] = c1 * c2 if prev is None else prev + c1 * c2
+        return _series(out)
 
     __rmul__ = __mul__
 
@@ -178,18 +237,28 @@ class HbarSeries:
     def constant_part(self) -> "HbarSeries":
         """The hbar-degree-0 part (the hbar -> 0 limit of the coefficient)."""
         if 0 in self.terms:
-            return HbarSeries({0: self.terms[0]})
+            return _series({0: self.terms[0]})
         return _SERIES_ZERO
 
     def divided_by_i_hbar(self) -> "HbarSeries":
         """Exact division by i*hbar; every degree must be >= 1."""
         if 0 in self.terms:
             raise NotDivisibleError("coefficient has an hbar-free part")
-        return HbarSeries({d - 1: c.divided_by_i() for d, c in self.terms.items()})
+        return _series({d - 1: c.divided_by_i() for d, c in self.terms.items()})
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{d}: {c!r}" for d, c in sorted(self.terms.items()))
         return f"HbarSeries({{{inside}}})"
+
+
+_set_series_terms = HbarSeries.terms.__set__
+
+
+def _series(terms: dict[int, GaussianRational]) -> HbarSeries:
+    """Trusted constructor for a dict built in this package; drops zeros only."""
+    s = _new(HbarSeries)
+    _set_series_terms(s, {d: c for d, c in terms.items() if c._a or c._b})
+    return s
 
 
 _SERIES_ZERO = HbarSeries()
@@ -251,7 +320,7 @@ class Observable:
         raise AttributeError("Observable is immutable")
 
     def __reduce__(self):
-        return (Observable, (self.terms,))
+        return (_observable, (self.terms,))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -264,14 +333,15 @@ class Observable:
     def __add__(self, other: "Observable") -> "Observable":
         merged = dict(self.terms)
         for monomial, series in other.terms.items():
-            merged[monomial] = merged.get(monomial, _SERIES_ZERO) + series
-        return Observable(merged)
+            prev = merged.get(monomial)
+            merged[monomial] = series if prev is None else prev + series
+        return _observable(merged)
 
     def __sub__(self, other: "Observable") -> "Observable":
         return self + (-other)
 
     def __neg__(self) -> "Observable":
-        return Observable({m: -s for m, s in self.terms.items()})
+        return _observable({m: -s for m, s in self.terms.items()})
 
     def __mul__(self, other: "Observable | ScalarLike") -> "Observable":
         if isinstance(other, Observable):
@@ -318,6 +388,16 @@ class Observable:
         return f"Observable({{{inside}}})"
 
 
+_set_observable_terms = Observable.terms.__set__
+
+
+def _observable(terms: dict[QCMonomial, HbarSeries]) -> Observable:
+    """Trusted constructor for a dict built in this package; drops zeros only."""
+    a = _new(Observable)
+    _set_observable_terms(a, {m: s for m, s in terms.items() if s.terms})
+    return a
+
+
 ZERO = Observable()
 ONE = Observable({_UNIT_MONOMIAL: _SERIES_ONE})
 
@@ -346,7 +426,7 @@ def generator(name: str) -> Observable:
 
 def from_scalar(value: ScalarLike) -> Observable:
     """The scalar multiple of the identity, e.g. from_scalar(Fraction(1, 2))."""
-    return Observable({_UNIT_MONOMIAL: _as_series(value)})
+    return _observable({_UNIT_MONOMIAL: _as_series(value)})
 
 
 def scale(coeff: ScalarLike, a: Observable) -> Observable:
@@ -354,7 +434,7 @@ def scale(coeff: ScalarLike, a: Observable) -> Observable:
     series = _as_series(coeff)
     if not series:
         return ZERO
-    return Observable({m: series * s for m, s in a.terms.items()})
+    return _observable({m: series * s for m, s in a.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -374,8 +454,8 @@ def reorder(t: int, r: int) -> Observable:
     for j in range(min(t, r) + 1):
         count = factorial(j) * comb(t, j) * comb(r, j)
         coeff = _NEG_I_POW[j % 4] * count
-        terms[QCMonomial(0, 0, r - j, t - j)] = HbarSeries({j: coeff})
-    return Observable(terms)
+        terms[QCMonomial(0, 0, r - j, t - j)] = _series({j: coeff})
+    return _observable(terms)
 
 
 def _product(a: Observable, b: Observable) -> Observable:
@@ -393,7 +473,7 @@ def _product(a: Observable, b: Observable) -> Observable:
                 )
                 prev = acc.get(mono)
                 acc[mono] = c12 * w if prev is None else prev + c12 * w
-    return Observable(acc)
+    return _observable(acc)
 
 
 def _partial(a: Observable, axis: int) -> Observable:
@@ -406,7 +486,7 @@ def _partial(a: Observable, axis: int) -> Observable:
         term = c * e
         prev = out.get(lowered)
         out[lowered] = term if prev is None else prev + term
-    return Observable(out)
+    return _observable(out)
 
 
 def partial_x(a: Observable) -> Observable:
@@ -437,14 +517,14 @@ def divide_by_i_hbar(a: Observable) -> Observable:
     parts of AB and BA coincide, so they cancel in the difference.
     """
     try:
-        return Observable({m: c.divided_by_i_hbar() for m, c in a.terms.items()})
+        return _observable({m: c.divided_by_i_hbar() for m, c in a.terms.items()})
     except NotDivisibleError as exc:
         raise NotDivisibleError(f"observable is not divisible by i*hbar: {exc}") from None
 
 
 def hbar_zero(a: Observable) -> Observable:
     """Keep only the hbar-degree-0 part of every coefficient."""
-    return Observable({m: c.constant_part() for m, c in a.terms.items()})
+    return _observable({m: c.constant_part() for m, c in a.terms.items()})
 
 
 def _symbol_mul(a: Observable, b: Observable) -> Observable:
@@ -456,7 +536,7 @@ def _symbol_mul(a: Observable, b: Observable) -> Observable:
             term = c1 * c2
             prev = acc.get(mono)
             acc[mono] = term if prev is None else prev + term
-    return Observable(acc)
+    return _observable(acc)
 
 
 def symbol_poisson(a: Observable, b: Observable) -> Observable:
@@ -478,4 +558,4 @@ def symbol_poisson(a: Observable, b: Observable) -> Observable:
 
 def monomial_observable(monomial: QCMonomial) -> Observable:
     """The coefficient-1 observable for a single exponent vector."""
-    return Observable({monomial: _SERIES_ONE})
+    return _observable({monomial: _SERIES_ONE})

@@ -27,6 +27,7 @@ from .algebra import (
     HbarSeries,
     Observable,
     QCMonomial,
+    _observable,
     divide_by_i_hbar,
     hbar_zero,
     partial_k,
@@ -123,7 +124,7 @@ def normal_bracket_classical(a: Observable, b: Observable) -> Observable:
             term = (c1 * c2) * weight
             prev = acc.get(mono)
             acc[mono] = term if prev is None else prev + term
-    return Observable(acc)
+    return _observable(acc)
 
 
 def normal_bracket(a: Observable, b: Observable) -> Observable:

@@ -42,6 +42,9 @@ from .explorer import ScanConfig, axiom_sweep
 from .explorer import scan as run_scan
 
 EXPONENT_CAP = 64
+# Parentheses nest by recursion; the cap keeps deep input a SyntaxError
+# instead of a RecursionError.
+NESTING_CAP = 100
 
 _SYMBOL_NAMES = ("x", "k", "q", "p", "hbar", "i")
 
@@ -104,6 +107,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -122,9 +126,10 @@ class _Parser:
         return result
 
     def term(self) -> Observable:
-        if self.peek().kind == "-":
+        negate = False
+        while self.peek().kind == "-":
             self.take()
-            return -self.term()
+            negate = not negate
         # Left fold in written order; q and p do not commute.
         result = self.factor()
         while self.peek().kind == "*":
@@ -135,7 +140,7 @@ class _Parser:
             raise SyntaxError(
                 f"unexpected {nxt.text!r} at position {nxt.pos}"
                 " (use '*' between factors)")
-        return result
+        return -result if negate else result
 
     def factor(self) -> Observable:
         base = self.base()
@@ -176,7 +181,13 @@ class _Parser:
                 return generator(tok.text)
             raise _unknown_symbol(tok)
         if tok.kind == "(":
+            if self.depth == NESTING_CAP:
+                raise SyntaxError(
+                    f"parentheses nested deeper than {NESTING_CAP}"
+                    f" at position {tok.pos}")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             closing = self.peek()
             if closing.kind != ")":
                 raise SyntaxError(f"expected ')' at position {closing.pos}")
@@ -236,10 +247,11 @@ def format_observable(a: Observable) -> str:
     atoms: list[tuple[bool, str]] = []
     for mono, series in _display_terms(a):
         for degree, coeff in series:
-            if coeff.re:
-                atoms.append(_atom(coeff.re, False, degree, mono))
-            if coeff.im:
-                atoms.append(_atom(coeff.im, True, degree, mono))
+            re, im = coeff.re, coeff.im
+            if re:
+                atoms.append(_atom(re, False, degree, mono))
+            if im:
+                atoms.append(_atom(im, True, degree, mono))
     if not atoms:
         return "0"
     negative, text = atoms[0]

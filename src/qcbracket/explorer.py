@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
+from math import comb
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -105,6 +106,13 @@ def _index_triples(config: ScanConfig, count: int) -> Iterable[tuple[int, int, i
     return product(range(count), repeat=3)
 
 
+def _triple_count(config: ScanConfig, count: int) -> int:
+    """len(_index_triples(config, count)), without walking it."""
+    if _canonicalize_triples(config):
+        return comb(count + 2, 3)
+    return count ** 3
+
+
 def _evaluate(config: ScanConfig, monos: Sequence[QCMonomial],
               idx: tuple[int, int, int]):
     a, b, c = (monomial_observable(monos[i]) for i in idx)
@@ -151,7 +159,7 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
     (total triple degree, enumeration order) regardless of ``jobs``.
     """
     monos = _sector_monomials(config)
-    total = sum(1 for _ in _index_triples(config, len(monos)))
+    total = _triple_count(config, len(monos))
     if jobs <= 1 or total < 256:
         keyed = _scan_range(config, 0, total)
     else:

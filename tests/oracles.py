@@ -1,15 +1,78 @@
-"""Shared test helpers: an independent normal-ordering oracle and builders.
+"""Shared test helpers: independent oracles and builders.
 
 The swap oracle rewrites words over {q, p} one adjacent pair at a time,
 knowing nothing about the closed-form expansion the package uses.  Tests
 compare the two so a bug in the combinatorics cannot hide behind itself.
+``FractionGaussian`` is the coefficient type the package replaced,
+kept as the reference for its integer-triple successor.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Union
 
 from qcbracket import GaussianRational, HbarSeries, Observable, QCMonomial
 
 MINUS_I_HBAR = HbarSeries({1: GaussianRational(0, -1)})
+
+RationalLike = Union[int, Fraction]
+
+
+@dataclass(frozen=True, slots=True)
+class FractionGaussian:
+    """The two-``Fraction`` Gaussian rational the package used to carry.
+
+    A reference for the differential tests of ``qcbracket.GaussianRational``:
+    ``Fraction`` keeps both parts in lowest terms with a positive
+    denominator, so equality is plain value equality.  Its repr is the
+    package's repr.
+    """
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "re", Fraction(self.re))
+        object.__setattr__(self, "im", Fraction(self.im))
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __add__(self, other: "FractionGaussian") -> "FractionGaussian":
+        return FractionGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "FractionGaussian") -> "FractionGaussian":
+        return FractionGaussian(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "FractionGaussian":
+        return FractionGaussian(-self.re, -self.im)
+
+    def __mul__(self, other: "FractionGaussian | RationalLike") -> "FractionGaussian":
+        if isinstance(other, FractionGaussian):
+            return FractionGaussian(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if isinstance(other, (int, Fraction)):
+            return FractionGaussian(self.re * other, self.im * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "FractionGaussian | RationalLike") -> "FractionGaussian":
+        if isinstance(other, (int, Fraction)):
+            return FractionGaussian(self.re / other, self.im / other)
+        norm = other.re * other.re + other.im * other.im
+        if not norm:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return self * FractionGaussian(other.re / norm, -other.im / norm)
+
+    def divided_by_i(self) -> "FractionGaussian":
+        # (a + b*i)/i = b - a*i
+        return FractionGaussian(self.im, -self.re)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
 def swap_normal_form(t: int, r: int) -> Observable:

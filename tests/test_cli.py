@@ -1,8 +1,11 @@
 """Surface syntax, canonical text, JSON records, and the subcommands."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,9 @@ from qcbracket import (
     random_observable,
     scale,
 )
+import qcbracket
 from qcbracket.cli import (
+    NESTING_CAP,
     ExponentError,
     OutputRecord,
     format_observable,
@@ -289,6 +294,34 @@ def test_parse_errors_exit_2(capsys):
     assert captured.err.startswith("error: ")
 
     assert run(["jacobi", "--kind", "normal", "x*", "q", "p"]) == 2
+
+
+def test_deep_nesting_exits_2(capsys):
+    # Past the cap the parser stops with a position instead of recursing
+    # until Python's stack runs out.
+    assert run(["canon", "(" * 1200 + "x" + ")" * 1200]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: parentheses nested deeper than {NESTING_CAP}"
+                            f" at position {NESTING_CAP + 1}\n")
+    nested = "(" * NESTING_CAP + "x*q" + ")" * NESTING_CAP
+    assert parse(nested) == X * Q
+    with pytest.raises(SyntaxError, match=f"position {NESTING_CAP + 1}$"):
+        parse("(" + nested + ")")
+
+
+def test_long_unary_minus_chains_parse():
+    assert parse("-" * 3000 + "x") == X
+    assert parse("-" * 3001 + "x*q") == -(X * Q)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qcbracket.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qcbracket", "canon", "x*q"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x*q\n", "")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -16,6 +16,8 @@ from qcbracket import (
     scan,
 )
 from qcbracket.cli import parse
+from qcbracket.explorer import (
+    IDENTITIES, SECTORS, _index_triples, _sector_monomials, _triple_count)
 from oracles import build
 
 ALEKSANDROV = BracketKind.ALEKSANDROV
@@ -56,6 +58,16 @@ def test_scan_config_validation():
         ScanConfig(kind=NORMAL, sector="bosonic")
     with pytest.raises(ValueError):
         ScanConfig(kind=NORMAL, max_degree=-1)
+
+
+def test_triple_count_matches_the_enumeration():
+    for kind, identity, sector, degree in product(
+            BracketKind, IDENTITIES, SECTORS, range(4)):
+        config = ScanConfig(kind=kind, identity=identity, max_degree=degree,
+                            sector=sector)
+        count = len(_sector_monomials(config))
+        walked = sum(1 for _ in _index_triples(config, count))
+        assert _triple_count(config, count) == walked, config
 
 
 # --- jacobi scans ----------------------------------------------------------------
