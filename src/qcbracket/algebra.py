@@ -218,8 +218,11 @@ class HbarSeries:
         return _series({d: -c for d, c in self.terms.items()})
 
     def __mul__(self, other: "HbarSeries | GaussianRational | RationalLike") -> "HbarSeries":
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return _series({d: c * other for d, c in self.terms.items()})
+        if not isinstance(other, HbarSeries):
+            if isinstance(other, (GaussianRational, int, Fraction)):
+                return _series({d: c * other for d, c in self.terms.items()})
+            # An Observable operand: its __rmul__ scales by this series.
+            return NotImplemented
         out: dict[int, GaussianRational] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():

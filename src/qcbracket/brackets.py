@@ -11,6 +11,12 @@ Four candidate brackets act on mixed observables:
                    x,k coefficient functions and concatenates the q,p words
                    without reordering.
 
+The classical parts of ``poisson``, ``aleksandrov`` and ``normal_order`` are
+one term-pair loop, ``_classical_part``; they differ only in how the q,p
+words of the two terms are joined: written order, the mean of both orders,
+or plain concatenation.  These are the standard-ordered star-product terms
+of Agarwal & Wolf (Phys. Rev. D 2, 2161, 1970).
+
 Residual functionals (Jacobi, Leibniz, the sector-factorization axioms, the
 classical limit) return the full residual observable so that violation
 magnitudes are inspectable exactly, not just as booleans.
@@ -21,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .algebra import (
@@ -30,8 +37,7 @@ from .algebra import (
     _observable,
     divide_by_i_hbar,
     hbar_zero,
-    partial_k,
-    partial_x,
+    reorder,
     symbol_poisson,
 )
 
@@ -81,6 +87,59 @@ def quantum_bracket(a: Observable, b: Observable) -> Observable:
     return divide_by_i_hbar(a * b - b * a)
 
 
+def _concatenated(t1: int, r1: int, t2: int, r2: int) -> tuple:
+    """q^r1 p^t1 . q^r2 p^t2 joined without reordering: no hbar terms."""
+    return ()
+
+
+@lru_cache(maxsize=None)
+def _written_order(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """Terms j >= 1 of the product q^r1 (p^t1 q^r2) p^t2: those of reorder(t1, r2)."""
+    return tuple((r2 - m.n_q, w) for m, w in reorder(t1, r2).terms.items()
+                 if m.n_q != r2)
+
+
+@lru_cache(maxsize=None)
+def _symmetrized(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """Terms j >= 1 of (W1*W2 + W2*W1)/2, the mean of both written orders."""
+    mean: dict[int, HbarSeries] = {}
+    for j, w in _written_order(t1, r1, t2, r2) + _written_order(t2, r2, t1, r1):
+        mean[j] = mean[j] + w if j in mean else w
+    return tuple((j, w * Fraction(1, 2)) for j, w in sorted(mean.items()))
+
+
+def _classical_part(a: Observable, b: Observable, word) -> Observable:
+    """Coefficient-Poisson bracket of a and b, with the q,p words joined by ``word``.
+
+    For terms c1 x^n1 k^m1 q^r1 p^t1 and c2 x^n2 k^m2 q^r2 p^t2 the
+    contribution is (n1*m2 - m1*n2) c1*c2 x^(n1+n2-1) k^(m1+m2-1) times the
+    joined word.  Every rule keeps the concatenation q^(r1+r2) p^(t1+t2) with
+    weight 1; ``word(t1, r1, t2, r2)`` lists the further terms (j, w_j), each
+    placed on q^(r1+r2-j) p^(t1+t2-j).
+    """
+    acc: dict[QCMonomial, HbarSeries] = {}
+    for m1, c1 in a.terms.items():
+        n1, k1, r1, t1 = m1
+        if not (n1 or k1):
+            continue
+        for m2, c2 in b.terms.items():
+            n2, k2, r2, t2 = m2
+            weight = n1 * k2 - k1 * n2
+            if not weight:
+                continue
+            c12 = (c1 * c2) * weight
+            n_x, n_k, n_q, n_p = n1 + n2 - 1, k1 + k2 - 1, r1 + r2, t1 + t2
+            mono = QCMonomial(n_x, n_k, n_q, n_p)
+            prev = acc.get(mono)
+            acc[mono] = c12 if prev is None else prev + c12
+            for j, w in word(t1, r1, t2, r2):
+                mono = QCMonomial(n_x, n_k, n_q - j, n_p - j)
+                term = c12 * w
+                prev = acc.get(mono)
+                acc[mono] = term if prev is None else prev + term
+    return _observable(acc)
+
+
 def ordered_poisson(a: Observable, b: Observable) -> Observable:
     """{A,B} on the classical pair, with operator products in written order.
 
@@ -89,13 +148,16 @@ def ordered_poisson(a: Observable, b: Observable) -> Observable:
     it non-antisymmetric, which is why the symmetrized combination below
     exists.
     """
-    return partial_x(a) * partial_k(b) - partial_k(a) * partial_x(b)
+    return _classical_part(a, b, _written_order)
 
 
 def aleksandrov_bracket(a: Observable, b: Observable) -> Observable:
-    """Commutator part plus the explicitly symmetrized classical part."""
-    sym = ordered_poisson(a, b) - ordered_poisson(b, a)
-    return quantum_bracket(a, b) + Fraction(1, 2) * sym
+    """Commutator part plus the explicitly symmetrized classical part.
+
+    The pair weight flips sign under a <-> b, so ({A,B} - {B,A})/2 is the
+    classical part with each word replaced by the mean of its two orders.
+    """
+    return quantum_bracket(a, b) + _classical_part(a, b, _symmetrized)
 
 
 def normal_bracket_classical(a: Observable, b: Observable) -> Observable:
@@ -104,27 +166,9 @@ def normal_bracket_classical(a: Observable, b: Observable) -> Observable:
     For terms a_nm(x,k) q^n p^m and b_rt(x,k) q^r p^t the contribution is
     {a_nm, b_rt} q^(n+r) p^(m+t): the x,k coefficients are Poisson-bracketed
     and the quantum words concatenate with no reordering, so no hbar is
-    generated.  On classical monomials {x^n1 k^m1, x^n2 k^m2} collapses to
-    (n1*m2 - m1*n2) x^(n1+n2-1) k^(m1+m2-1).
+    generated.
     """
-    acc: dict[QCMonomial, HbarSeries] = {}
-    for m1, c1 in a.terms.items():
-        if m1.n_x == 0 and m1.n_k == 0:
-            continue
-        for m2, c2 in b.terms.items():
-            weight = m1.n_x * m2.n_k - m1.n_k * m2.n_x
-            if weight == 0:
-                continue
-            mono = QCMonomial(
-                m1.n_x + m2.n_x - 1,
-                m1.n_k + m2.n_k - 1,
-                m1.n_q + m2.n_q,
-                m1.n_p + m2.n_p,
-            )
-            term = (c1 * c2) * weight
-            prev = acc.get(mono)
-            acc[mono] = term if prev is None else prev + term
-    return _observable(acc)
+    return _classical_part(a, b, _concatenated)
 
 
 def normal_bracket(a: Observable, b: Observable) -> Observable:

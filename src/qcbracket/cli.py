@@ -11,8 +11,9 @@ Surface syntax for observables::
 Whitespace is insignificant.  Products need an explicit '*': "xq" is not
 "x*q", because single-letter symbols next to each other would otherwise be
 ambiguous with multi-letter names like "hbar".  Division exists only inside
-rational literals; exponents are unsigned integers capped at 64.  The
-Unicode "ℏ" is accepted on input as an alias for "hbar" but never printed.
+rational literals; exponents are unsigned integers capped at 64, and no
+product or power may reach a total degree above 1024.  The Unicode "ℏ" is
+accepted on input as an alias for "hbar" but never printed.
 
 Factor order is preserved through evaluation, so "p*q" and "q*p" denote
 different products even though both print in canonical form (q before p).
@@ -42,6 +43,9 @@ from .explorer import ScanConfig, axiom_sweep
 from .explorer import scan as run_scan
 
 EXPONENT_CAP = 64
+# Bounds the total degree of every product and power before it is computed,
+# since nested powers evade EXPONENT_CAP.
+DEGREE_CAP = 1024
 # Parentheses nest by recursion; the cap keeps deep input a SyntaxError
 # instead of a RecursionError.
 NESTING_CAP = 100
@@ -50,7 +54,8 @@ _SYMBOL_NAMES = ("x", "k", "q", "p", "hbar", "i")
 
 
 class ExponentError(SyntaxError):
-    """Exponent outside the supported range (negative, or above the cap)."""
+    """Exponent outside the supported range (negative, or above the cap),
+    or a product or power whose degree would exceed DEGREE_CAP."""
 
 
 # --- tokenizer and parser ---------------------------------------------------
@@ -96,6 +101,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _degree(a: Observable) -> int:
+    return max((m.degree for m in a.terms), default=0)
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > DEGREE_CAP:
+        raise ExponentError(
+            f"result degree {degree} at position {pos}"
+            f" exceeds the cap of {DEGREE_CAP}")
+
+
 def _unknown_symbol(tok: _Token) -> SyntaxError:
     msg = f"unknown symbol {tok.text!r} at position {tok.pos}"
     if len(tok.text) > 1 and all(c in "xkqpi" for c in tok.text):
@@ -133,8 +149,10 @@ class _Parser:
         # Left fold in written order; q and p do not commute.
         result = self.factor()
         while self.peek().kind == "*":
-            self.take()
-            result = result * self.factor()
+            star = self.take()
+            right = self.factor()
+            _check_degree(_degree(result) + _degree(right), star.pos)
+            result = result * right
         nxt = self.peek()
         if nxt.kind in ("int", "name", "("):
             raise SyntaxError(
@@ -159,6 +177,7 @@ class _Parser:
             raise ExponentError(
                 f"exponent {exponent} at position {tok.pos}"
                 f" exceeds the cap of {EXPONENT_CAP}")
+        _check_degree(_degree(base) * exponent, tok.pos)
         return base ** exponent
 
     def base(self) -> Observable:

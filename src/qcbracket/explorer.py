@@ -36,6 +36,9 @@ from .brackets import (
 
 IDENTITIES = ("jacobi", "leibniz")
 SECTORS = ("all", "classical", "quantum")
+# A scan past this many triples is refused before any work starts; degree-6
+# Leibniz (9.26 million triples) is the largest full-sector scan allowed.
+SCAN_TRIPLE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,12 @@ def _sector_monomials(config: ScanConfig) -> list[QCMonomial]:
     if config.sector == "quantum":
         return [m for m in monos if m.is_quantum]
     return monos
+
+
+def _sector_size(config: ScanConfig) -> int:
+    """len(_sector_monomials(config)), without enumerating it."""
+    variables = 4 if config.sector == "all" else 2
+    return comb(config.max_degree + variables, variables)
 
 
 def _canonicalize_triples(config: ScanConfig) -> bool:
@@ -156,10 +165,12 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
     Jacobi triples are canonicalized up to their cyclic/anticyclic symmetry
     where that is sound (see _canonicalize_triples); Leibniz has no such
     symmetry, so its triples are ordered.  Records come back sorted by
-    (total triple degree, enumeration order) regardless of ``jobs``.
+    (total triple degree, enumeration order) regardless of ``jobs``.  A scan
+    of more than ``SCAN_TRIPLE_CAP`` triples raises ValueError up front.
     """
-    monos = _sector_monomials(config)
-    total = _triple_count(config, len(monos))
+    total = _triple_count(config, _sector_size(config))
+    if total > SCAN_TRIPLE_CAP:
+        raise ValueError(f"scan of {total} triples exceeds the cap of {SCAN_TRIPLE_CAP}")
     if jobs <= 1 or total < 256:
         keyed = _scan_range(config, 0, total)
     else:

@@ -4,14 +4,26 @@ The swap oracle rewrites words over {q, p} one adjacent pair at a time,
 knowing nothing about the closed-form expansion the package uses.  Tests
 compare the two so a bug in the combinatorics cannot hide behind itself.
 ``FractionGaussian`` is the coefficient type the package replaced,
-kept as the reference for its integer-triple successor.
+kept as the reference for its integer-triple successor.  The bracket
+oracles are the partials-and-products classical parts the package's
+term-pair kernel replaced, and the standard-ordered star product is an
+independent reference for operator products.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Union
 
-from qcbracket import GaussianRational, HbarSeries, Observable, QCMonomial
+from qcbracket import (
+    GaussianRational,
+    HbarSeries,
+    Observable,
+    QCMonomial,
+    partial_k,
+    partial_x,
+    quantum_bracket,
+)
 
 MINUS_I_HBAR = HbarSeries({1: GaussianRational(0, -1)})
 
@@ -126,3 +138,74 @@ def _fraction(value) -> Fraction:
     if isinstance(value, tuple):
         return Fraction(*value)
     return Fraction(value)
+
+
+# --- brackets by partials and products -----------------------------------------
+
+def ordered_poisson(a: Observable, b: Observable) -> Observable:
+    """dA/dx * dB/dk - dA/dk * dB/dx, operator products in written order."""
+    return partial_x(a) * partial_k(b) - partial_k(a) * partial_x(b)
+
+
+def aleksandrov_bracket(a: Observable, b: Observable) -> Observable:
+    """[A,B]/(i*hbar) + ({A,B} - {B,A})/2."""
+    sym = ordered_poisson(a, b) - ordered_poisson(b, a)
+    return quantum_bracket(a, b) + Fraction(1, 2) * sym
+
+
+def normal_bracket_classical(a: Observable, b: Observable) -> Observable:
+    """dA/dx dB/dk - dA/dk dB/dx with the q,p words concatenated unreordered.
+
+    Concatenating q^r1 p^t1 and q^r2 p^t2 with no reordering is the
+    commutative symbol product, so this is a Poisson bracket on symbols.
+    """
+    return (symbol_product(derivative(a, 0), derivative(b, 1))
+            - symbol_product(derivative(a, 1), derivative(b, 0)))
+
+
+def normal_bracket(a: Observable, b: Observable) -> Observable:
+    return quantum_bracket(a, b) + normal_bracket_classical(a, b)
+
+
+# --- the standard-ordered star product ----------------------------------------
+
+def derivative(a: Observable, axis: int, times: int = 1) -> Observable:
+    """The ``times``-th derivative along exponent ``axis`` (x, k, q, p = 0..3)."""
+    out: dict[QCMonomial, HbarSeries] = {}
+    for m, c in a.terms.items():
+        e = m[axis]
+        if e < times:
+            continue
+        lowered = list(m)
+        lowered[axis] = e - times
+        _accumulate(out, QCMonomial(*lowered),
+                    c * (factorial(e) // factorial(e - times)))
+    return Observable({m: c for m, c in out.items() if c})
+
+
+def symbol_product(a: Observable, b: Observable) -> Observable:
+    """Commutative product of symbols: exponents add, no reordering."""
+    out: dict[QCMonomial, HbarSeries] = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            _accumulate(out, QCMonomial(*(e1 + e2 for e1, e2 in zip(m1, m2))),
+                        c1 * c2)
+    return Observable({m: c for m, c in out.items() if c})
+
+
+def star_product(f: Observable, g: Observable) -> Observable:
+    """f*g = sum_j (-i*hbar)^j/j! d_p^j f d_q^j g on normal-ordered symbols.
+
+    The standard-ordered (q left of p) star product of Agarwal & Wolf
+    (Phys. Rev. D 2, 2161, 1970); the sum stops where a derivative vanishes.
+    """
+    total = Observable()
+    weight = HbarSeries(1)
+    j = 0
+    while True:
+        df, dg = derivative(f, 3, j), derivative(g, 2, j)
+        if not df or not dg:
+            return total
+        total = total + symbol_product(df, dg) * weight
+        j += 1
+        weight = weight * MINUS_I_HBAR * Fraction(1, j)

@@ -97,6 +97,15 @@ def test_series_divided_by_i_hbar():
         HbarSeries(1).divided_by_i_hbar()
 
 
+def test_series_times_observable_in_either_order():
+    h = HbarSeries.hbar(2, GaussianRational(1, 3))
+    expected = build({(0, 0, 1, 0): {2: (1, 3)}})
+    assert h * Q == Q * h == expected
+    assert HbarSeries(2) * X == X * HbarSeries(2) == scale(2, X)
+    with pytest.raises(TypeError):
+        HbarSeries.hbar() * "q"
+
+
 def test_series_is_immutable():
     s = HbarSeries(1)
     with pytest.raises(AttributeError):

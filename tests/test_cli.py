@@ -20,6 +20,7 @@ from qcbracket import (
 )
 import qcbracket
 from qcbracket.cli import (
+    DEGREE_CAP,
     NESTING_CAP,
     ExponentError,
     OutputRecord,
@@ -125,6 +126,27 @@ def test_parse_exponent_errors():
     with pytest.raises(SyntaxError, match="integer exponent"):
         parse("q^x")
     assert issubclass(ExponentError, SyntaxError)
+
+
+def test_parse_result_degree_cap():
+    # Predicted before computing: deg(a^n) = n*deg(a), deg(a*b) = deg(a) + deg(b).
+    assert DEGREE_CAP == 1024
+    assert parse("(p^64)^16") == P ** 1024
+    assert parse("(x+q)^64*(k^2)^32*(q^64)^14") == (X + Q) ** 64 * K ** 64 * Q ** 896
+    with pytest.raises(ExponentError, match="degree 1088 at position 8 exceeds the cap"):
+        parse("(p^64)^17")
+    with pytest.raises(ExponentError, match="degree 1025 at position 2 exceeds the cap"):
+        parse("x*(q*p^63)^16")
+    with pytest.raises(ExponentError, match="degree 2048 at position 10"):
+        parse("(p^64)^16*(q^64)^16")
+
+
+def test_result_degree_past_the_cap_exits_2(capsys):
+    assert run(["canon", "(p^64)^16*(q^64)^16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: result degree 2048 at position 10"
+                            " exceeds the cap of 1024\n")
 
 
 # --- formatting ----------------------------------------------------------------
@@ -331,6 +353,17 @@ def test_usage_errors_exit_2(capsys):
     assert run(["bracket", "--kind", "weyl", "x", "k"]) == 2
     assert run(["scan", "--kind", "normal", "--max-degree", "-1"]) == 2
     capsys.readouterr()
+
+
+def test_scan_past_the_triple_cap_exits_2(capsys):
+    # About 10^9 triples: refused before any is evaluated.
+    code = run(["scan", "--kind", "normal", "--identity", "leibniz",
+                "--max-degree", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: scan of 1003003001 triples exceeds the cap"
+                            " of 10000000\n")
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -1,0 +1,104 @@
+"""The bracket kernel and the operator product against independent oracles.
+
+The package computes every classical part in one term-pair loop; the
+oracles compute the same brackets from partial derivatives and operator
+products, and the product from the standard-ordered star product on symbols.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcbracket import (
+    BracketKind,
+    HbarSeries,
+    ScanConfig,
+    aleksandrov_bracket,
+    normal_bracket,
+    normal_bracket_classical,
+    ordered_poisson,
+    random_observable,
+    scan,
+)
+from qcbracket import brackets
+from qcbracket.explorer import SECTORS
+import oracles
+from oracles import build
+
+
+@st.composite
+def observables(draw, sector=None):
+    # random_observable draws non-unit Gaussian coefficients of hbar-degree <= 2.
+    if sector is None:
+        sector = draw(st.sampled_from(SECTORS))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_observable(seed, max_degree=3, max_terms=4, sector=sector)
+
+
+# --- brackets ------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=300)
+@given(observables(), observables())
+def test_brackets_equal_the_partials_and_products_oracle(a, b):
+    assert ordered_poisson(a, b) == oracles.ordered_poisson(a, b)
+    assert aleksandrov_bracket(a, b) == oracles.aleksandrov_bracket(a, b)
+    assert normal_bracket_classical(a, b) == oracles.normal_bracket_classical(a, b)
+    assert normal_bracket(a, b) == oracles.normal_bracket(a, b)
+
+
+def _reordering_terms(t, r):
+    """{j: coefficient} of the j >= 1 terms of p^t q^r, by literal swaps."""
+    word = oracles.swap_normal_form(t, r)
+    return {r - m.n_q: c for m, c in word.terms.items() if m.n_q != r}
+
+
+def test_word_tables_match_the_swap_oracle():
+    for t1, r2 in product(range(5), repeat=2):
+        written = _reordering_terms(t1, r2)
+        assert dict(brackets._written_order(t1, 3, 2, r2)) == written
+        for t2, r1 in product(range(4), repeat=2):
+            reverse = _reordering_terms(t2, r1)
+            mean = {j: (written.get(j, HbarSeries()) + reverse.get(j, HbarSeries()))
+                    * Fraction(1, 2) for j in written.keys() | reverse.keys()}
+            assert dict(brackets._symmetrized(t1, r1, t2, r2)) == mean
+
+
+@pytest.mark.parametrize("kind", [BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER])
+@pytest.mark.parametrize("identity", ["jacobi", "leibniz"])
+def test_scan_records_equal_the_oracle_scan(monkeypatch, kind, identity):
+    # include_zero lists every triple, so every residual is compared.
+    config = ScanConfig(kind=kind, identity=identity, max_degree=2,
+                        include_zero=True)
+    serial = scan(config, jobs=1)
+    parallel = scan(config, jobs=2)
+    monkeypatch.setitem(brackets._DISPATCH, BracketKind.ALEKSANDROV,
+                        oracles.aleksandrov_bracket)
+    monkeypatch.setitem(brackets._DISPATCH, BracketKind.NORMAL_ORDER,
+                        oracles.normal_bracket)
+    expected = scan(config, jobs=1)
+    assert serial == expected
+    assert parallel == expected
+
+
+# --- the operator product ----------------------------------------------------------
+
+@settings(deadline=None, max_examples=200)
+@given(observables(), observables())
+def test_product_equals_the_star_product(f, g):
+    assert f * g == oracles.star_product(f, g)
+
+
+def test_star_product_hand_values():
+    q = build({(0, 0, 1, 0): {0: (1, 0)}})
+    p = build({(0, 0, 0, 1): {0: (1, 0)}})
+    qp = build({(0, 0, 1, 1): {0: (1, 0)}})
+    assert oracles.star_product(q, p) == qp
+    # p q = q p - i*hbar;  p^2 q^2 = q^2 p^2 - 4i*hbar q p - 2*hbar^2.
+    assert oracles.star_product(p, q) == build({
+        (0, 0, 1, 1): {0: (1, 0)}, (0, 0, 0, 0): {1: (0, -1)}})
+    p2, q2 = oracles.star_product(p, p), oracles.star_product(q, q)
+    assert oracles.star_product(p2, q2) == build({
+        (0, 0, 2, 2): {0: (1, 0)}, (0, 0, 1, 1): {1: (0, -4)},
+        (0, 0, 0, 0): {2: (-2, 0)}})

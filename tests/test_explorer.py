@@ -17,7 +17,8 @@ from qcbracket import (
 )
 from qcbracket.cli import parse
 from qcbracket.explorer import (
-    IDENTITIES, SECTORS, _index_triples, _sector_monomials, _triple_count)
+    IDENTITIES, SCAN_TRIPLE_CAP, SECTORS, _index_triples, _sector_monomials,
+    _sector_size, _triple_count)
 from oracles import build
 
 ALEKSANDROV = BracketKind.ALEKSANDROV
@@ -66,8 +67,20 @@ def test_triple_count_matches_the_enumeration():
         config = ScanConfig(kind=kind, identity=identity, max_degree=degree,
                             sector=sector)
         count = len(_sector_monomials(config))
+        assert _sector_size(config) == count, config
         walked = sum(1 for _ in _index_triples(config, count))
         assert _triple_count(config, count) == walked, config
+
+
+def test_scan_triple_cap():
+    assert SCAN_TRIPLE_CAP == 10**7
+    leibniz_6 = ScanConfig(kind=NORMAL, identity="leibniz", max_degree=6)
+    assert _triple_count(leibniz_6, _sector_size(leibniz_6)) == 210 ** 3 <= SCAN_TRIPLE_CAP
+    # The largest monomial count is never enumerated: the cap comes first.
+    for degree, identity in ((7, "leibniz"), (10, "leibniz"), (10**6, "jacobi")):
+        config = ScanConfig(kind=NORMAL, identity=identity, max_degree=degree)
+        with pytest.raises(ValueError, match="exceeds the cap of 10000000"):
+            scan(config)
 
 
 # --- jacobi scans ----------------------------------------------------------------
