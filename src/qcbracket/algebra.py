@@ -461,21 +461,40 @@ def reorder(t: int, r: int) -> Observable:
     return _observable(terms)
 
 
-def _product(a: Observable, b: Observable) -> Observable:
+@lru_cache(maxsize=None)
+def _reorder_terms(t: int, r: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """reorder(t, r) as its terms (j, w_j), j ascending from 0."""
+    return tuple((r - m.n_q, w) for m, w in reorder(t, r).terms.items())
+
+
+def _reordered(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """Every term (j, w_j) of q^r1 (p^t1 q^r2) p^t2: only p^t1 q^r2 reorders,
+    so the cache is keyed on (t1, r2) and stays small in large products."""
+    return _reorder_terms(t1, r2)
+
+
+def _product(a: Observable, b: Observable, word=_reordered) -> Observable:
+    """Sum over term pairs of c1*c2 times each term (j, w_j) of their word.
+
+    ``word(t1, r1, t2, r2)`` joins q^r1 p^t1 and q^r2 p^t2 (x and k commute
+    freely); term j lands on x^(n1+n2) k^(m1+m2) q^(r1+r2-j) p^(t1+t2-j).
+    A pair whose word has no terms costs no coefficient arithmetic.
+    """
     acc: dict[QCMonomial, HbarSeries] = {}
     for m1, c1 in a.terms.items():
+        n1, k1, r1, t1 = m1
         for m2, c2 in b.terms.items():
+            n2, k2, r2, t2 = m2
+            terms = word(t1, r1, t2, r2)
+            if not terms:
+                continue
             c12 = c1 * c2
-            # x, k commute freely; the only work is the inner word p^t q^r.
-            for mid, w in reorder(m1.n_p, m2.n_q).terms.items():
-                mono = QCMonomial(
-                    m1.n_x + m2.n_x,
-                    m1.n_k + m2.n_k,
-                    m1.n_q + mid.n_q,
-                    mid.n_p + m2.n_p,
-                )
+            n_x, n_k, n_q, n_p = n1 + n2, k1 + k2, r1 + r2, t1 + t2
+            for j, w in terms:
+                mono = QCMonomial(n_x, n_k, n_q - j, n_p - j)
+                term = c12 * w
                 prev = acc.get(mono)
-                acc[mono] = c12 * w if prev is None else prev + c12 * w
+                acc[mono] = term if prev is None else prev + term
     return _observable(acc)
 
 

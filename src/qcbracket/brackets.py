@@ -11,11 +11,17 @@ Four candidate brackets act on mixed observables:
                    x,k coefficient functions and concatenates the q,p words
                    without reordering.
 
+The commutator is one pass of the operator-product kernel
+``algebra._product`` over the antisymmetrized word ``_commuted``: for each
+term pair, the j >= 1 reordering terms of the written order minus those of
+the reverse order.  The hbar-free j = 0 terms of AB and BA are equal and
+would cancel, so they are never built; the sum is divided by i*hbar.
+
 The classical parts of ``poisson``, ``aleksandrov`` and ``normal_order`` are
 one term-pair loop, ``_classical_part``; they differ only in how the q,p
 words of the two terms are joined: written order, the mean of both orders,
-or plain concatenation.  These are the standard-ordered star-product terms
-of Agarwal & Wolf (Phys. Rev. D 2, 2161, 1970).
+or plain concatenation.  The reordering terms are the standard-ordered
+star-product terms of Agarwal & Wolf (Phys. Rev. D 2, 2161, 1970).
 
 Residual functionals (Jacobi, Leibniz, the sector-factorization axioms, the
 classical limit) return the full residual observable so that violation
@@ -35,9 +41,10 @@ from .algebra import (
     Observable,
     QCMonomial,
     _observable,
+    _product,
+    _reordered,
     divide_by_i_hbar,
     hbar_zero,
-    reorder,
     symbol_poisson,
 )
 
@@ -82,11 +89,6 @@ class ResidualReport:
         return cls(tuple(inputs), kind, residual, not residual)
 
 
-def quantum_bracket(a: Observable, b: Observable) -> Observable:
-    """(A,B)_q = (AB - BA)/(i*hbar)."""
-    return divide_by_i_hbar(a * b - b * a)
-
-
 def _concatenated(t1: int, r1: int, t2: int, r2: int) -> tuple:
     """q^r1 p^t1 . q^r2 p^t2 joined without reordering: no hbar terms."""
     return ()
@@ -94,9 +96,8 @@ def _concatenated(t1: int, r1: int, t2: int, r2: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _written_order(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
-    """Terms j >= 1 of the product q^r1 (p^t1 q^r2) p^t2: those of reorder(t1, r2)."""
-    return tuple((r2 - m.n_q, w) for m, w in reorder(t1, r2).terms.items()
-                 if m.n_q != r2)
+    """Terms j >= 1 of the product q^r1 (p^t1 q^r2) p^t2."""
+    return _reordered(t1, r1, t2, r2)[1:]
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +107,28 @@ def _symmetrized(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSer
     for j, w in _written_order(t1, r1, t2, r2) + _written_order(t2, r2, t1, r1):
         mean[j] = mean[j] + w if j in mean else w
     return tuple((j, w * Fraction(1, 2)) for j, w in sorted(mean.items()))
+
+
+@lru_cache(maxsize=None)
+def _commuted(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """Terms j >= 1 of W1*W2 - W2*W1, the difference of both written orders.
+
+    The j = 0 terms of both orders are the same word and cancel, as do equal
+    words; only the nonzero differences are kept.
+    """
+    diff = dict(_written_order(t1, r1, t2, r2))
+    for j, w in _written_order(t2, r2, t1, r1):
+        diff[j] = diff[j] - w if j in diff else -w
+    return tuple((j, w) for j, w in sorted(diff.items()) if w)
+
+
+def quantum_bracket(a: Observable, b: Observable) -> Observable:
+    """(A,B)_q = (AB - BA)/(i*hbar).
+
+    One pass of the product kernel over the antisymmetrized word table: the
+    hbar-free terms of AB and BA, which would cancel, are never built.
+    """
+    return divide_by_i_hbar(_product(a, b, _commuted))
 
 
 def _classical_part(a: Observable, b: Observable, word) -> Observable:

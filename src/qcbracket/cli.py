@@ -12,8 +12,9 @@ Whitespace is insignificant.  Products need an explicit '*': "xq" is not
 "x*q", because single-letter symbols next to each other would otherwise be
 ambiguous with multi-letter names like "hbar".  Division exists only inside
 rational literals; exponents are unsigned integers capped at 64, and no
-product or power may reach a total degree above 1024.  The Unicode "ℏ" is
-accepted on input as an alias for "hbar" but never printed.
+product or power may reach a total degree above 1024, nor may the summed
+degree of the inputs of one bracket or identity command.  The Unicode "ℏ"
+is accepted on input as an alias for "hbar" but never printed.
 
 Factor order is preserved through evaluation, so "p*q" and "q*p" denote
 different products even though both print in canonical form (q before p).
@@ -44,7 +45,8 @@ from .explorer import scan as run_scan
 
 EXPONENT_CAP = 64
 # Bounds the total degree of every product and power before it is computed,
-# since nested powers evade EXPONENT_CAP.
+# since nested powers evade EXPONENT_CAP, and the summed degree of the inputs
+# of a bracket or identity command, which is the degree of its products.
 DEGREE_CAP = 1024
 # Parentheses nest by recursion; the cap keeps deep input a SyntaxError
 # instead of a RecursionError.
@@ -55,7 +57,7 @@ _SYMBOL_NAMES = ("x", "k", "q", "p", "hbar", "i")
 
 class ExponentError(SyntaxError):
     """Exponent outside the supported range (negative, or above the cap),
-    or a product or power whose degree would exceed DEGREE_CAP."""
+    or a product, power or command whose degree would exceed DEGREE_CAP."""
 
 
 # --- tokenizer and parser ---------------------------------------------------
@@ -357,9 +359,20 @@ def _cmd_canon(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_inputs(*texts: str) -> list[Observable]:
+    """Parse a command's inputs, refusing them if the products it forms
+    would pass DEGREE_CAP: their degree is the sum of the input degrees."""
+    inputs = [parse(text) for text in texts]
+    total = sum(_degree(a) for a in inputs)
+    if total > DEGREE_CAP:
+        raise ExponentError(
+            f"inputs of total degree {total} exceed the cap of {DEGREE_CAP}")
+    return inputs
+
+
 def _cmd_bracket(args: argparse.Namespace) -> int:
     kind = BracketKind.from_name(args.kind)
-    result = bracket_of(kind, parse(args.a), parse(args.b))
+    result = bracket_of(kind, *_parse_inputs(args.a, args.b))
     _emit(result, args.format)
     return 0
 
@@ -367,7 +380,7 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
 def _cmd_identity(args: argparse.Namespace) -> int:
     kind = BracketKind.from_name(args.kind)
     residual_of = jacobi_residual if args.identity == "jacobi" else leibniz_residual
-    report = residual_of(kind, parse(args.a), parse(args.b), parse(args.c))
+    report = residual_of(kind, *_parse_inputs(args.a, args.b, args.c))
     if args.format == "json":
         _emit(report.residual, "json")
     else:

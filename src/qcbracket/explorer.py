@@ -11,6 +11,7 @@ count used to parallelize them.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -165,12 +166,16 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
     Jacobi triples are canonicalized up to their cyclic/anticyclic symmetry
     where that is sound (see _canonicalize_triples); Leibniz has no such
     symmetry, so its triples are ordered.  Records come back sorted by
-    (total triple degree, enumeration order) regardless of ``jobs``.  A scan
-    of more than ``SCAN_TRIPLE_CAP`` triples raises ValueError up front.
+    (total triple degree, enumeration order) regardless of ``jobs``, which is
+    clamped to the CPU count.  A scan of more than ``SCAN_TRIPLE_CAP``
+    triples raises ValueError up front.
     """
     total = _triple_count(config, _sector_size(config))
     if total > SCAN_TRIPLE_CAP:
         raise ValueError(f"scan of {total} triples exceeds the cap of {SCAN_TRIPLE_CAP}")
+    # The pool starts every worker at once; more than one per core only
+    # costs processes.
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 256:
         keyed = _scan_range(config, 0, total)
     else:

@@ -5,9 +5,10 @@ knowing nothing about the closed-form expansion the package uses.  Tests
 compare the two so a bug in the combinatorics cannot hide behind itself.
 ``FractionGaussian`` is the coefficient type the package replaced,
 kept as the reference for its integer-triple successor.  The bracket
-oracles are the partials-and-products classical parts the package's
-term-pair kernel replaced, and the standard-ordered star product is an
-independent reference for operator products.
+oracles are the two-product commutator and the partials-and-products
+classical parts the package's term-pair kernels replaced, and the
+standard-ordered star product is an independent reference for operator
+products.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,9 @@ from qcbracket import (
     HbarSeries,
     Observable,
     QCMonomial,
+    divide_by_i_hbar,
     partial_k,
     partial_x,
-    quantum_bracket,
 )
 
 MINUS_I_HBAR = HbarSeries({1: GaussianRational(0, -1)})
@@ -141,6 +142,11 @@ def _fraction(value) -> Fraction:
 
 
 # --- brackets by partials and products -----------------------------------------
+
+def quantum_bracket(a: Observable, b: Observable) -> Observable:
+    """(AB - BA)/(i*hbar), from both full operator products."""
+    return divide_by_i_hbar(a * b - b * a)
+
 
 def ordered_poisson(a: Observable, b: Observable) -> Observable:
     """dA/dx * dB/dk - dA/dk * dB/dx, operator products in written order."""

@@ -1,5 +1,7 @@
 """Surface syntax, canonical text, JSON records, and the subcommands."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcbracket import (
     BracketKind,
@@ -24,6 +27,7 @@ from qcbracket.cli import (
     NESTING_CAP,
     ExponentError,
     OutputRecord,
+    _KIND_NAMES,
     format_observable,
     parse,
     run,
@@ -147,6 +151,25 @@ def test_result_degree_past_the_cap_exits_2(capsys):
     assert captured.out == ""
     assert captured.err == ("error: result degree 2048 at position 10"
                             " exceeds the cap of 1024\n")
+
+
+@pytest.mark.parametrize("argv, total", [
+    (["bracket", "--kind", "commutator", "(p^64)^16", "(q^64)^16"], 2048),
+    (["leibniz", "--kind", "commutator", "(p^64)^16", "(q^64)^16", "(p^64)^16"], 3072),
+    (["jacobi", "--kind", "normal", "(x^64)^8", "(k^64)^8", "q", "--format", "json"], 1025),
+])
+def test_command_inputs_past_the_degree_cap_exit_2(capsys, argv, total):
+    # Each input is within the cap; the products the command forms are not.
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: inputs of total degree {total}"
+                            " exceed the cap of 1024\n")
+
+
+def test_command_inputs_at_the_degree_cap_run(capsys):
+    assert run(["bracket", "--kind", "poisson", "(x^50)^20", "k^24"]) == 0
+    assert capsys.readouterr().out == "24000*x^999*k^23\n"
 
 
 # --- formatting ----------------------------------------------------------------
@@ -382,3 +405,43 @@ def test_unprintable_result_exits_2(capsys, fmt):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# --- exit codes on any input -------------------------------------------------
+
+# Ten characters of this alphabet cannot start a large expansion.  Random
+# text mostly fails to parse, so half the strings join operands with
+# operators and reach the brackets.
+_ALPHABET = "xkqphi+-*/^()012 ℏ."
+_OPERANDS = ("x", "k", "q", "p", "i", "ℏ", "hbar", "1/2", "q^2", "x*q", "k*p",
+             "(x-p)", "-k")
+
+
+@st.composite
+def _expressions(draw):
+    if draw(st.booleans()):
+        return draw(st.text(_ALPHABET, max_size=10))
+    operands = draw(st.lists(st.sampled_from(_OPERANDS), min_size=1, max_size=4))
+    text = operands[0]
+    for operand in operands[1:]:
+        text += draw(st.sampled_from("+-*")) + operand
+    return text[:10]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["canon", "bracket", "jacobi", "leibniz"]))
+    argv = [command, "--format", draw(st.sampled_from(["text", "json"]))]
+    if command != "canon":
+        argv += ["--kind", draw(st.sampled_from(_KIND_NAMES))]
+    arity = {"canon": 1, "bracket": 2}.get(command, 3)
+    # After "--", an expression that starts with '-' is still an operand.
+    return argv + ["--", *(draw(_expressions()) for _ in range(arity))]
+
+
+@settings(deadline=None, max_examples=500)
+@given(_argvs())
+def test_any_expression_exits_0_1_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) in (0, 1, 2)

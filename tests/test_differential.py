@@ -1,8 +1,9 @@
-"""The bracket kernel and the operator product against independent oracles.
+"""The bracket kernels and the operator product against independent oracles.
 
-The package computes every classical part in one term-pair loop; the
-oracles compute the same brackets from partial derivatives and operator
-products, and the product from the standard-ordered star product on symbols.
+The package computes every classical part in one term-pair loop and the
+commutator in one pass of the product kernel; the oracles compute the same
+brackets from partial derivatives and both full operator products, and the
+product from the standard-ordered star product on symbols.
 """
 
 from fractions import Fraction
@@ -19,6 +20,7 @@ from qcbracket import (
     normal_bracket,
     normal_bracket_classical,
     ordered_poisson,
+    quantum_bracket,
     random_observable,
     scan,
 )
@@ -42,6 +44,7 @@ def observables(draw, sector=None):
 @settings(deadline=None, max_examples=300)
 @given(observables(), observables())
 def test_brackets_equal_the_partials_and_products_oracle(a, b):
+    assert quantum_bracket(a, b) == oracles.quantum_bracket(a, b)
     assert ordered_poisson(a, b) == oracles.ordered_poisson(a, b)
     assert aleksandrov_bracket(a, b) == oracles.aleksandrov_bracket(a, b)
     assert normal_bracket_classical(a, b) == oracles.normal_bracket_classical(a, b)
@@ -63,9 +66,14 @@ def test_word_tables_match_the_swap_oracle():
             mean = {j: (written.get(j, HbarSeries()) + reverse.get(j, HbarSeries()))
                     * Fraction(1, 2) for j in written.keys() | reverse.keys()}
             assert dict(brackets._symmetrized(t1, r1, t2, r2)) == mean
+            difference = {j: written.get(j, HbarSeries()) - reverse.get(j, HbarSeries())
+                          for j in written.keys() | reverse.keys()}
+            assert dict(brackets._commuted(t1, r1, t2, r2)) == {
+                j: w for j, w in difference.items() if w}
 
 
-@pytest.mark.parametrize("kind", [BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER])
+@pytest.mark.parametrize("kind", [BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER,
+                                  BracketKind.COMMUTATOR])
 @pytest.mark.parametrize("identity", ["jacobi", "leibniz"])
 def test_scan_records_equal_the_oracle_scan(monkeypatch, kind, identity):
     # include_zero lists every triple, so every residual is compared.
@@ -73,6 +81,8 @@ def test_scan_records_equal_the_oracle_scan(monkeypatch, kind, identity):
                         include_zero=True)
     serial = scan(config, jobs=1)
     parallel = scan(config, jobs=2)
+    monkeypatch.setitem(brackets._DISPATCH, BracketKind.COMMUTATOR,
+                        oracles.quantum_bracket)
     monkeypatch.setitem(brackets._DISPATCH, BracketKind.ALEKSANDROV,
                         oracles.aleksandrov_bracket)
     monkeypatch.setitem(brackets._DISPATCH, BracketKind.NORMAL_ORDER,

@@ -15,6 +15,7 @@ from qcbracket import (
     random_observable,
     scan,
 )
+from qcbracket import explorer
 from qcbracket.cli import parse
 from qcbracket.explorer import (
     IDENTITIES, SCAN_TRIPLE_CAP, SECTORS, _index_triples, _sector_monomials,
@@ -150,6 +151,35 @@ def test_canonicalization_loses_no_violations():
 def test_parallel_scan_matches_sequential():
     config = ScanConfig(kind=NORMAL, identity="jacobi", max_degree=2)
     assert scan(config, jobs=2) == scan(config, jobs=1)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
+def test_scan_jobs_are_clamped_to_the_cpu_count(monkeypatch, cpus, workers):
+    # No real pool is started: the fake records the size it was asked for.
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "started", [])
+    config = ScanConfig(kind=NORMAL, identity="jacobi", max_degree=2)
+    assert scan(config, jobs=10_000) == scan(config, jobs=1)
+    assert _SerialPool.started == workers
 
 
 def test_include_zero_reports_every_triple():
