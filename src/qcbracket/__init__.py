@@ -45,13 +45,6 @@ from .brackets import (
     ordered_poisson,
     quantum_bracket,
 )
-from .cli import (
-    ExponentError,
-    OutputRecord,
-    format_observable,
-    parse,
-    run,
-)
 from .explorer import (
     ScanConfig,
     ViolationRecord,
@@ -59,6 +52,12 @@ from .explorer import (
     enumerate_monomials,
     random_observable,
     scan,
+)
+from .syntax import (
+    ExponentError,
+    OutputRecord,
+    format_observable,
+    parse,
 )
 
 __all__ = [
@@ -105,7 +104,6 @@ __all__ = [
     "OutputRecord",
     "parse",
     "format_observable",
-    "run",
 ]
 
 __version__ = "0.1.0"

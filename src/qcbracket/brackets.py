@@ -34,7 +34,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .algebra import (
     HbarSeries,
@@ -81,12 +80,14 @@ class ResidualReport:
     inputs: tuple[Observable, ...]
     kind: BracketKind
     residual: Observable
-    is_zero: bool
 
-    @classmethod
-    def build(cls, kind: BracketKind, inputs: Iterable[Observable],
-              residual: Observable) -> "ResidualReport":
-        return cls(tuple(inputs), kind, residual, not residual)
+    @property
+    def is_zero(self) -> bool:
+        return not self.residual
+
+
+# Bounds the word tables keyed on whole term pairs, which large powers flood.
+_WORD_CACHE_SIZE = 4096
 
 
 def _concatenated(t1: int, r1: int, t2: int, r2: int) -> tuple:
@@ -94,13 +95,12 @@ def _concatenated(t1: int, r1: int, t2: int, r2: int) -> tuple:
     return ()
 
 
-@lru_cache(maxsize=None)
 def _written_order(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
     """Terms j >= 1 of the product q^r1 (p^t1 q^r2) p^t2."""
     return _reordered(t1, r1, t2, r2)[1:]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _symmetrized(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
     """Terms j >= 1 of (W1*W2 + W2*W1)/2, the mean of both written orders."""
     mean: dict[int, HbarSeries] = {}
@@ -109,7 +109,7 @@ def _symmetrized(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSer
     return tuple((j, w * Fraction(1, 2)) for j, w in sorted(mean.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _commuted(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
     """Terms j >= 1 of W1*W2 - W2*W1, the difference of both written orders.
 
@@ -217,7 +217,7 @@ def jacobi_residual(kind: BracketKind, a: Observable, b: Observable,
     """((A,B),C) + ((B,C),A) + ((C,A),B); zero exactly when Jacobi holds."""
     fn = _DISPATCH[kind]
     residual = fn(fn(a, b), c) + fn(fn(b, c), a) + fn(fn(c, a), b)
-    return ResidualReport.build(kind, (a, b, c), residual)
+    return ResidualReport((a, b, c), kind, residual)
 
 
 def leibniz_residual(kind: BracketKind, a: Observable, b: Observable,
@@ -225,7 +225,7 @@ def leibniz_residual(kind: BracketKind, a: Observable, b: Observable,
     """(AB,C) - (A,C)B - A(B,C), operator products in written order."""
     fn = _DISPATCH[kind]
     residual = fn(a * b, c) - fn(a, c) * b - a * fn(b, c)
-    return ResidualReport.build(kind, (a, b, c), residual)
+    return ResidualReport((a, b, c), kind, residual)
 
 
 def axiom_residuals(kind: BracketKind, c: Observable, q: Observable,
@@ -249,8 +249,8 @@ def axiom_residuals(kind: BracketKind, c: Observable, q: Observable,
     first = bracket(kind, cq, c2) - ordered_poisson(c, c2) * q
     second = bracket(kind, cq, q2) - quantum_bracket(q, q2) * c
     return (
-        ResidualReport.build(kind, (c, q, c2), first),
-        ResidualReport.build(kind, (c, q, q2), second),
+        ResidualReport((c, q, c2), kind, first),
+        ResidualReport((c, q, q2), kind, second),
     )
 
 
@@ -262,8 +262,7 @@ def classical_limit_residual(kind: BracketKind, a: Observable,
     bracket in the classical limit.  The commutator kind only reproduces the
     q,p half, so it is checked on quantum-only inputs.
     """
-    if kind not in (BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER,
-                    BracketKind.COMMUTATOR):
+    if kind is BracketKind.POISSON:
         raise ValueError(f"classical limit is not defined for kind {kind.value!r}")
     if kind is BracketKind.COMMUTATOR:
         if not (a.is_quantum() and b.is_quantum()):
@@ -271,4 +270,4 @@ def classical_limit_residual(kind: BracketKind, a: Observable,
                 "commutator classical limit requires quantum-only inputs")
     residual = hbar_zero(bracket(kind, a, b)) - symbol_poisson(
         hbar_zero(a), hbar_zero(b))
-    return ResidualReport.build(kind, (a, b), residual)
+    return ResidualReport((a, b), kind, residual)

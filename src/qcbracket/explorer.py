@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
@@ -85,17 +84,17 @@ def enumerate_monomials(max_degree: int) -> list[QCMonomial]:
     return out
 
 
-def _sector_monomials(config: ScanConfig) -> list[QCMonomial]:
-    monos = enumerate_monomials(config.max_degree)
-    if config.sector == "classical":
+def _sector_monomials(max_degree: int, sector: str) -> list[QCMonomial]:
+    monos = enumerate_monomials(max_degree)
+    if sector == "classical":
         return [m for m in monos if m.is_classical]
-    if config.sector == "quantum":
+    if sector == "quantum":
         return [m for m in monos if m.is_quantum]
     return monos
 
 
 def _sector_size(config: ScanConfig) -> int:
-    """len(_sector_monomials(config)), without enumerating it."""
+    """How many monomials ``_sector_monomials`` lists, without listing them."""
     variables = 4 if config.sector == "all" else 2
     return comb(config.max_degree + variables, variables)
 
@@ -124,7 +123,7 @@ def _triple_count(config: ScanConfig, count: int) -> int:
 
 
 def _evaluate(config: ScanConfig, monos: Sequence[QCMonomial],
-              idx: tuple[int, int, int]):
+              idx: tuple[int, int, int]) -> ViolationRecord | None:
     a, b, c = (monomial_observable(monos[i]) for i in idx)
     if config.identity == "jacobi":
         report = jacobi_residual(config.kind, a, b, c)
@@ -142,16 +141,13 @@ def _evaluate(config: ScanConfig, monos: Sequence[QCMonomial],
             # else means the algebra itself is broken.
             raise RuntimeError(
                 f"residual for {idx} has hbar-free content; internal failure")
-    triple = tuple(monos[i] for i in idx)
-    record = ViolationRecord(triple, residual, min_deg)
-    degree = sum(m.degree for m in triple)
-    return (degree, idx, record)
+    return ViolationRecord(tuple(monos[i] for i in idx), residual, min_deg)
 
 
-def _scan_range(config: ScanConfig, lo: int, hi: int):
+def _scan_range(config: ScanConfig, lo: int, hi: int) -> list[ViolationRecord]:
     # Workers re-derive their span of the triple enumeration; only
     # (config, lo, hi) crosses the process boundary on the way in.
-    monos = _sector_monomials(config)
+    monos = _sector_monomials(config.max_degree, config.sector)
     out = []
     for idx in islice(_index_triples(config, len(monos)), lo, hi):
         hit = _evaluate(config, monos, idx)
@@ -167,26 +163,32 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
     where that is sound (see _canonicalize_triples); Leibniz has no such
     symmetry, so its triples are ordered.  Records come back sorted by
     (total triple degree, enumeration order) regardless of ``jobs``, which is
-    clamped to the CPU count.  A scan of more than ``SCAN_TRIPLE_CAP``
-    triples raises ValueError up front.
+    clamped to the CPU count and must be positive.  A scan of more than
+    ``SCAN_TRIPLE_CAP`` triples raises ValueError up front.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     total = _triple_count(config, _sector_size(config))
     if total > SCAN_TRIPLE_CAP:
         raise ValueError(f"scan of {total} triples exceeds the cap of {SCAN_TRIPLE_CAP}")
     # The pool starts every worker at once; more than one per core only
     # costs processes.
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or total < 256:
-        keyed = _scan_range(config, 0, total)
+    if jobs == 1 or total < 256:
+        records = _scan_range(config, 0, total)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         step = -(-total // jobs)
         spans = [(i, min(i + step, total)) for i in range(0, total, step)]
-        keyed = []
+        records = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(_scan_range, *zip(*((config, lo, hi) for lo, hi in spans))):
-                keyed.extend(chunk)
-    keyed.sort(key=lambda item: (item[0], item[1]))
-    return [record for _, _, record in keyed]
+                records.extend(chunk)
+    # The spans are contiguous and map keeps their order, so records are in
+    # enumeration order; the stable sort only groups them by degree.
+    records.sort(key=lambda rec: sum(m.degree for m in rec.triple))
+    return records
 
 
 def _random_gaussian(rng: random.Random) -> GaussianRational:
@@ -206,11 +208,7 @@ def _random_from(rng: random.Random, max_degree: int, max_terms: int,
                  sector: str) -> Observable:
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    pool = enumerate_monomials(max_degree)
-    if sector == "classical":
-        pool = [m for m in pool if m.is_classical]
-    elif sector == "quantum":
-        pool = [m for m in pool if m.is_quantum]
+    pool = _sector_monomials(max_degree, sector)
     count = min(rng.randint(1, max_terms), len(pool))
     monos = rng.sample(pool, count)
     # Distinct monomials with nonzero coefficients: the result cannot cancel.

@@ -18,17 +18,18 @@ from qcbracket import (
     axiom_sweep,
     bracket,
     classical_limit_residual,
+    format_observable,
     hbar_zero,
     jacobi_residual,
     normal_bracket,
     ordered_poisson,
+    parse,
     quantum_bracket,
     random_observable,
     reorder,
     scale,
     scan,
 )
-from qcbracket.cli import format_observable, parse
 from oracles import build, swap_normal_form
 
 ALEKSANDROV = BracketKind.ALEKSANDROV

@@ -18,11 +18,12 @@ from qcbracket import (
     normal_bracket,
     normal_bracket_classical,
     ordered_poisson,
+    parse,
     quantum_bracket,
     random_observable,
     scale,
 )
-from qcbracket.cli import parse
+from qcbracket import brackets
 from oracles import build
 
 X, K, Q, P = (generator(n) for n in "xkqp")
@@ -250,11 +251,21 @@ def test_classical_limit_rejects_poisson_kind():
         classical_limit_residual(BracketKind.POISSON, X, K)
 
 
+def test_word_tables_are_bounded():
+    # Large powers meet about 11,000 distinct term pairs; the tables keyed on
+    # whole pairs must not keep them all.
+    bracket(BracketKind.COMMUTATOR, parse("(q+p)^20"), parse("(q-p+x)^12"))
+    for table in (brackets._symmetrized, brackets._commuted):
+        info = table.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+
 # --- reports ------------------------------------------------------------------
 
 def test_residual_report_zero_flag():
-    report = ResidualReport.build(BracketKind.COMMUTATOR, (Q, P), ZERO)
+    report = ResidualReport((Q, P), BracketKind.COMMUTATOR, ZERO)
     assert report.is_zero
-    report = ResidualReport.build(BracketKind.COMMUTATOR, (Q, P), ONE)
+    report = ResidualReport((Q, P), BracketKind.COMMUTATOR, ONE)
     assert not report.is_zero
     assert report.kind is BracketKind.COMMUTATOR

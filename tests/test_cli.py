@@ -22,15 +22,14 @@ from qcbracket import (
     scale,
 )
 import qcbracket
-from qcbracket.cli import (
+from qcbracket.cli import _KIND_NAMES, run
+from qcbracket.syntax import (
     DEGREE_CAP,
     NESTING_CAP,
     ExponentError,
     OutputRecord,
-    _KIND_NAMES,
     format_observable,
     parse,
-    run,
 )
 from oracles import build
 
@@ -360,13 +359,26 @@ def test_long_unary_minus_chains_parse():
     assert parse("-" * 3001 + "x*q") == -(X * Q)
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports qcbracket from this checkout."""
     src = str(Path(qcbracket.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "qcbracket", "canon", "x*q"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["qcbracket", "qcbracket.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = _python("-m", module, "canon", "x*q")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x*q\n", "")
+
+
+def test_importing_the_library_loads_no_cli_or_pool():
+    proc = _python("-c", "import sys, qcbracket; print(sorted(set(sys.modules) & {"
+                   "'argparse', 'multiprocessing', 'concurrent.futures',"
+                   " 'qcbracket.cli'}))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -375,6 +387,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(["jacobi", "x", "q", "p"]) == 2          # missing --kind
     assert run(["bracket", "--kind", "weyl", "x", "k"]) == 2
     assert run(["scan", "--kind", "normal", "--max-degree", "-1"]) == 2
+    assert run(["scan", "--kind", "normal", "--jobs", "0"]) == 2
     capsys.readouterr()
 
 

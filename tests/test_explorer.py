@@ -1,5 +1,6 @@
 """Exhaustive scans, their canonicalization, and the random generators."""
 
+import concurrent.futures
 from itertools import permutations, product
 
 import pytest
@@ -12,11 +13,11 @@ from qcbracket import (
     enumerate_monomials,
     jacobi_residual,
     monomial_observable,
+    parse,
     random_observable,
     scan,
 )
 from qcbracket import explorer
-from qcbracket.cli import parse
 from qcbracket.explorer import (
     IDENTITIES, SCAN_TRIPLE_CAP, SECTORS, _index_triples, _sector_monomials,
     _sector_size, _triple_count)
@@ -67,7 +68,7 @@ def test_triple_count_matches_the_enumeration():
             BracketKind, IDENTITIES, SECTORS, range(4)):
         config = ScanConfig(kind=kind, identity=identity, max_degree=degree,
                             sector=sector)
-        count = len(_sector_monomials(config))
+        count = len(_sector_monomials(degree, sector))
         assert _sector_size(config) == count, config
         walked = sum(1 for _ in _index_triples(config, count))
         assert _triple_count(config, count) == walked, config
@@ -148,6 +149,12 @@ def test_canonicalization_loses_no_violations():
     assert direct == closure
 
 
+def test_scan_rejects_nonpositive_jobs():
+    config = ScanConfig(kind=NORMAL, identity="jacobi", max_degree=1)
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        scan(config, jobs=0)
+
+
 def test_parallel_scan_matches_sequential():
     config = ScanConfig(kind=NORMAL, identity="jacobi", max_degree=2)
     assert scan(config, jobs=2) == scan(config, jobs=1)
@@ -174,7 +181,7 @@ class _SerialPool:
 @pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
 def test_scan_jobs_are_clamped_to_the_cpu_count(monkeypatch, cpus, workers):
     # No real pool is started: the fake records the size it was asked for.
-    monkeypatch.setattr(explorer, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "started", [])
     config = ScanConfig(kind=NORMAL, identity="jacobi", max_degree=2)

@@ -15,15 +15,16 @@ from qcbracket import (
     bracket,
     classical_limit_residual,
     enumerate_monomials,
+    format_observable,
     hbar_zero,
     jacobi_residual,
     normal_bracket,
     ordered_poisson,
+    parse,
     quantum_bracket,
     random_observable,
     scale,
 )
-from qcbracket.cli import format_observable, parse
 
 MIXED = (BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER)
 
