@@ -73,25 +73,27 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 
+    # Over d == 1 the gcd is 1, so results skip the reduction.
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         d1, d2 = self._d, other._d
         if d1 == d2:
-            return _gr(self._a + other._a, self._b + other._b, d1)
+            return (_make_gr if d1 == 1 else _gr)(self._a + other._a, self._b + other._b, d1)
         return _gr(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         d1, d2 = self._d, other._d
         if d1 == d2:
-            return _gr(self._a - other._a, self._b - other._b, d1)
+            return (_make_gr if d1 == 1 else _gr)(self._a - other._a, self._b - other._b, d1)
         return _gr(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __neg__(self) -> "GaussianRational":
-        return _gr(-self._a, -self._b, self._d)
+        return _make_gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational | RationalLike") -> "GaussianRational":
         if isinstance(other, GaussianRational):
             a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-            return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
+            d = self._d * other._d
+            return (_make_gr if d == 1 else _gr)(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
             return _gr(self._a * n, self._b * n, self._d * other.denominator)
@@ -116,7 +118,7 @@ class GaussianRational:
 
     def divided_by_i(self) -> "GaussianRational":
         # (a + b*i)/i = b - a*i
-        return _gr(self._b, -self._a, self._d)
+        return _make_gr(self._b, -self._a, self._d)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -128,18 +130,19 @@ _set_b = GaussianRational._b.__set__
 _set_d = GaussianRational._d.__set__
 
 
-def _gr(a: int, b: int, d: int) -> GaussianRational:
-    """Trusted constructor of (a + b*i)/d from ints with d > 0; reduces by the gcd."""
-    g = gcd(a, b, d)
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
+def _make_gr(a: int, b: int, d: int) -> GaussianRational:
+    """Trusted constructor of (a + b*i)/d from ints with d > 0 and gcd(a, b, d) == 1."""
     z = _new(GaussianRational)
     _set_a(z, a)
     _set_b(z, b)
     _set_d(z, d)
     return z
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """Trusted constructor of (a + b*i)/d from ints with d > 0; reduces by the gcd."""
+    g = gcd(a, b, d)
+    return _make_gr(a // g, b // g, d // g) if g != 1 else _make_gr(a, b, d)
 
 
 _GR_I = GaussianRational(0, 1)
@@ -215,14 +218,21 @@ class HbarSeries:
         return self + (-other)
 
     def __neg__(self) -> "HbarSeries":
-        return _series({d: -c for d, c in self.terms.items()})
+        return _make_series({d: -c for d, c in self.terms.items()})
 
     def __mul__(self, other: "HbarSeries | GaussianRational | RationalLike") -> "HbarSeries":
+        # No product of nonzero Gaussian rationals is zero: no zero filter.
         if not isinstance(other, HbarSeries):
             if isinstance(other, (GaussianRational, int, Fraction)):
-                return _series({d: c * other for d, c in self.terms.items()})
+                if not other:
+                    return _SERIES_ZERO
+                return _make_series({d: c * other for d, c in self.terms.items()})
             # An Observable operand: its __rmul__ scales by this series.
             return NotImplemented
+        if len(self.terms) == 1 == len(other.terms):
+            [(d1, c1)] = self.terms.items()
+            [(d2, c2)] = other.terms.items()
+            return _make_series({d1 + d2: c1 * c2})
         out: dict[int, GaussianRational] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
@@ -240,14 +250,14 @@ class HbarSeries:
     def constant_part(self) -> "HbarSeries":
         """The hbar-degree-0 part (the hbar -> 0 limit of the coefficient)."""
         if 0 in self.terms:
-            return _series({0: self.terms[0]})
+            return _make_series({0: self.terms[0]})
         return _SERIES_ZERO
 
     def divided_by_i_hbar(self) -> "HbarSeries":
         """Exact division by i*hbar; every degree must be >= 1."""
         if 0 in self.terms:
             raise NotDivisibleError("coefficient has an hbar-free part")
-        return _series({d - 1: c.divided_by_i() for d, c in self.terms.items()})
+        return _make_series({d - 1: c.divided_by_i() for d, c in self.terms.items()})
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{d}: {c!r}" for d, c in sorted(self.terms.items()))
@@ -257,11 +267,16 @@ class HbarSeries:
 _set_series_terms = HbarSeries.terms.__set__
 
 
+def _make_series(terms: dict[int, GaussianRational]) -> HbarSeries:
+    """Trusted constructor for a dict built in this package with no zero coefficient."""
+    s = _new(HbarSeries)
+    _set_series_terms(s, terms)
+    return s
+
+
 def _series(terms: dict[int, GaussianRational]) -> HbarSeries:
     """Trusted constructor for a dict built in this package; drops zeros only."""
-    s = _new(HbarSeries)
-    _set_series_terms(s, {d: c for d, c in terms.items() if c._a or c._b})
-    return s
+    return _make_series({d: c for d, c in terms.items() if c._a or c._b})
 
 
 _SERIES_ZERO = HbarSeries()
@@ -334,6 +349,10 @@ class Observable:
         return self.terms == other.terms
 
     def __add__(self, other: "Observable") -> "Observable":
+        if not other.terms:
+            return self
+        if not self.terms and isinstance(other, Observable):
+            return other
         merged = dict(self.terms)
         for monomial, series in other.terms.items():
             prev = merged.get(monomial)
@@ -341,10 +360,16 @@ class Observable:
         return _observable(merged)
 
     def __sub__(self, other: "Observable") -> "Observable":
-        return self + (-other)
+        if not other.terms:
+            return self
+        merged = dict(self.terms)
+        for monomial, series in other.terms.items():
+            prev = merged.get(monomial)
+            merged[monomial] = -series if prev is None else prev - series
+        return _observable(merged)
 
     def __neg__(self) -> "Observable":
-        return _observable({m: -s for m, s in self.terms.items()})
+        return _make_observable({m: -s for m, s in self.terms.items()})
 
     def __mul__(self, other: "Observable | ScalarLike") -> "Observable":
         if isinstance(other, Observable):
@@ -394,11 +419,17 @@ class Observable:
 _set_observable_terms = Observable.terms.__set__
 
 
-def _observable(terms: dict[QCMonomial, HbarSeries]) -> Observable:
-    """Trusted constructor for a dict built in this package; drops zeros only."""
+def _make_observable(terms: dict[QCMonomial, HbarSeries]) -> Observable:
+    """Trusted constructor for a dict built in this package with no zero series."""
     a = _new(Observable)
-    _set_observable_terms(a, {m: s for m, s in terms.items() if s.terms})
+    _set_observable_terms(a, terms)
     return a
+
+
+def _observable(terms: dict[QCMonomial, HbarSeries]) -> Observable:
+    """Trusted constructor for a dict built in this package; drops zeros, ZERO if all go."""
+    kept = {m: s for m, s in terms.items() if s.terms}
+    return _make_observable(kept) if kept else ZERO
 
 
 ZERO = Observable()
@@ -437,7 +468,8 @@ def scale(coeff: ScalarLike, a: Observable) -> Observable:
     series = _as_series(coeff)
     if not series:
         return ZERO
-    return _observable({m: series * s for m, s in a.terms.items()})
+    # hbar-polynomials over a field have no zero divisors.
+    return _make_observable({m: series * s for m, s in a.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -495,7 +527,7 @@ def _product(a: Observable, b: Observable, word=_reordered) -> Observable:
                 term = c12 * w
                 prev = acc.get(mono)
                 acc[mono] = term if prev is None else prev + term
-    return _observable(acc)
+    return _observable(acc) if acc else ZERO
 
 
 def _partial(a: Observable, axis: int) -> Observable:
@@ -538,8 +570,10 @@ def divide_by_i_hbar(a: Observable) -> Observable:
     commutators of polynomial observables this never happens: the hbar-free
     parts of AB and BA coincide, so they cancel in the difference.
     """
+    if not a.terms:
+        return a
     try:
-        return _observable({m: c.divided_by_i_hbar() for m, c in a.terms.items()})
+        return _make_observable({m: c.divided_by_i_hbar() for m, c in a.terms.items()})
     except NotDivisibleError as exc:
         raise NotDivisibleError(f"observable is not divisible by i*hbar: {exc}") from None
 
@@ -549,16 +583,9 @@ def hbar_zero(a: Observable) -> Observable:
     return _observable({m: c.constant_part() for m, c in a.terms.items()})
 
 
-def _symbol_mul(a: Observable, b: Observable) -> Observable:
-    # Commutative product: exponents add, no reordering corrections.
-    acc: dict[QCMonomial, HbarSeries] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            mono = QCMonomial(*(e1 + e2 for e1, e2 in zip(m1, m2)))
-            term = c1 * c2
-            prev = acc.get(mono)
-            acc[mono] = term if prev is None else prev + term
-    return _observable(acc)
+def _symbols(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """The commutative word: exponents add, no reordering terms."""
+    return ((0, _SERIES_ONE),)
 
 
 def symbol_poisson(a: Observable, b: Observable) -> Observable:
@@ -571,13 +598,13 @@ def symbol_poisson(a: Observable, b: Observable) -> Observable:
     if not a.is_hbar_free() or not b.is_hbar_free():
         raise ValueError("symbol_poisson requires hbar-free inputs")
     return (
-        _symbol_mul(partial_x(a), partial_k(b))
-        - _symbol_mul(partial_k(a), partial_x(b))
-        + _symbol_mul(partial_q(a), partial_p(b))
-        - _symbol_mul(partial_p(a), partial_q(b))
+        _product(partial_x(a), partial_k(b), _symbols)
+        - _product(partial_k(a), partial_x(b), _symbols)
+        + _product(partial_q(a), partial_p(b), _symbols)
+        - _product(partial_p(a), partial_q(b), _symbols)
     )
 
 
 def monomial_observable(monomial: QCMonomial) -> Observable:
     """The coefficient-1 observable for a single exponent vector."""
-    return _observable({monomial: _SERIES_ONE})
+    return _make_observable({monomial: _SERIES_ONE})

@@ -39,6 +39,7 @@ from .algebra import (
     HbarSeries,
     Observable,
     QCMonomial,
+    ZERO,
     _observable,
     _product,
     _reordered,
@@ -160,7 +161,7 @@ def _classical_part(a: Observable, b: Observable, word) -> Observable:
                 term = c12 * w
                 prev = acc.get(mono)
                 acc[mono] = term if prev is None else prev + term
-    return _observable(acc)
+    return _observable(acc) if acc else ZERO
 
 
 def ordered_poisson(a: Observable, b: Observable) -> Observable:

@@ -67,9 +67,6 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        print("error: --samples must be positive", file=sys.stderr)
-        return 2
     kind = BracketKind.from_name(args.kind)
     violations = axiom_sweep(kind, args.samples, args.seed)
     print(f"violations: {len(violations)}")

@@ -39,6 +39,9 @@ SECTORS = ("all", "classical", "quantum")
 # A scan past this many triples is refused before any work starts; degree-6
 # Leibniz (9.26 million triples) is the largest full-sector scan allowed.
 SCAN_TRIPLE_CAP = 10**7
+# An axiom sweep past this many quadruples is refused before any is drawn;
+# at about 1.1 ms a quadruple that is an 18-minute run.
+AXIOM_SAMPLE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,9 @@ def _triple_count(config: ScanConfig, count: int) -> int:
 
 
 def _evaluate(config: ScanConfig, monos: Sequence[QCMonomial],
+              observables: Sequence[Observable],
               idx: tuple[int, int, int]) -> ViolationRecord | None:
-    a, b, c = (monomial_observable(monos[i]) for i in idx)
+    a, b, c = (observables[i] for i in idx)
     if config.identity == "jacobi":
         report = jacobi_residual(config.kind, a, b, c)
     else:
@@ -148,9 +152,10 @@ def _scan_range(config: ScanConfig, lo: int, hi: int) -> list[ViolationRecord]:
     # Workers re-derive their span of the triple enumeration; only
     # (config, lo, hi) crosses the process boundary on the way in.
     monos = _sector_monomials(config.max_degree, config.sector)
+    observables = [monomial_observable(m) for m in monos]
     out = []
     for idx in islice(_index_triples(config, len(monos)), lo, hi):
-        hit = _evaluate(config, monos, idx)
+        hit = _evaluate(config, monos, observables, idx)
         if hit is not None:
             out.append(hit)
     return out
@@ -230,8 +235,13 @@ def axiom_sweep(kind: BracketKind, samples: int, seed: int) -> list[ResidualRepo
 
     Draws ``samples`` quadruples (C, Q, C', Q') of degree <= 3 and returns
     every nonzero axiom residual.  Expected empty for the aleksandrov and
-    normal-order kinds.
+    normal-order kinds.  Raises ValueError unless 1 <= samples <= AXIOM_SAMPLE_CAP.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if samples > AXIOM_SAMPLE_CAP:
+        raise ValueError(
+            f"axiom sweep of {samples} samples exceeds the cap of {AXIOM_SAMPLE_CAP}")
     rng = random.Random(seed)
     violations: list[ResidualReport] = []
     for _ in range(samples):

@@ -8,17 +8,21 @@ kept as the reference for its integer-triple successor.  The bracket
 oracles are the two-product commutator and the partials-and-products
 classical parts the package's term-pair kernels replaced, and the
 standard-ordered star product is an independent reference for operator
-products.
+products.  The coefficient oracles are the general double-loop series
+product and the ``a + (-b)`` subtraction that the package's single-term and
+one-merge paths replaced; ``assert_canonical`` checks the canonical form
+every result must have.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Union
 
 from qcbracket import (
     GaussianRational,
     HbarSeries,
+    NotDivisibleError,
     Observable,
     QCMonomial,
     divide_by_i_hbar,
@@ -215,3 +219,67 @@ def star_product(f: Observable, g: Observable) -> Observable:
         total = total + symbol_product(df, dg) * weight
         j += 1
         weight = weight * MINUS_I_HBAR * Fraction(1, j)
+
+
+# --- coefficient paths and the canonical form ------------------------------------
+
+def series_product(a: HbarSeries, b) -> HbarSeries:
+    """The double loop over both term maps, for operands of any length.
+
+    A scalar ``b`` is the constant series; the public constructor drops the
+    degrees that cancel.
+    """
+    if not isinstance(b, HbarSeries):
+        b = HbarSeries(b)
+    out: dict[int, GaussianRational] = {}
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            prev = out.get(d1 + d2)
+            out[d1 + d2] = c1 * c2 if prev is None else prev + c1 * c2
+    return HbarSeries(out)
+
+
+def negation(a: Observable) -> Observable:
+    """-a, every coefficient multiplied by the integer -1."""
+    return Observable({m: HbarSeries({d: c * -1 for d, c in s.terms.items()})
+                       for m, s in a.terms.items()})
+
+
+def difference(a: Observable, b: Observable) -> Observable:
+    """a + (-b), the subtraction the one-pass merge replaced."""
+    return a + negation(b)
+
+
+def divided_by_i_hbar(a: Observable) -> Observable:
+    """Each coefficient c*hbar^d becomes (c/i)*hbar^(d-1); (re, im) -> (im, -re)."""
+    if any(0 in s.terms for s in a.terms.values()):
+        raise NotDivisibleError("an hbar-free coefficient")
+    return Observable({
+        m: HbarSeries({d - 1: GaussianRational(c.im, -c.re) for d, c in s.terms.items()})
+        for m, s in a.terms.items()})
+
+
+def assert_canonical(value: "Observable | HbarSeries") -> None:
+    """Fail unless ``value`` is in the one canonical form of its value.
+
+    An observable holds no empty series, a series (empty for zero) holds no
+    zero coefficient, and every coefficient is a reduced integer triple
+    (a + b*i)/d with d > 0.  The triple is read from the private slots:
+    ``re`` and ``im`` are ``Fraction``s, which would reduce it and hide a
+    missing gcd.
+    """
+    if type(value) is HbarSeries:
+        entries = [(None, value)]
+    else:
+        assert type(value) is Observable, type(value)
+        entries = value.terms.items()
+        for m, series in entries:
+            assert type(m) is QCMonomial and min(m) >= 0, m
+            assert type(series) is HbarSeries and series.terms, (m, series)
+    for m, series in entries:
+        for degree, c in series.terms.items():
+            assert type(degree) is int and degree >= 0, (m, degree)
+            assert type(c) is GaussianRational, (m, degree, c)
+            num_re, num_im, den = c._a, c._b, c._d
+            assert den > 0 and (num_re or num_im), (m, degree, num_re, num_im, den)
+            assert gcd(num_re, num_im, den) == 1, (m, degree, num_re, num_im, den)

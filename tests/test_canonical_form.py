@@ -1,0 +1,185 @@
+"""The coefficient fast paths against their oracles, and the canonical form.
+
+Single-term series multiply with one coefficient product, subtraction is one
+merge, empty operands and empty results short-circuit to a shared value, and
+results known to hold no zero skip the zero filter.  Each of those paths is
+compared here with the general path it replaced (``tests/oracles.py``), on
+operands built to be single-term, multi-term, empty or cancelling.  The
+invariant tests then check that every result of the public operations, the
+brackets and the residuals is in canonical form.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcbracket import (
+    ZERO,
+    BracketKind,
+    GaussianRational,
+    HbarSeries,
+    NotDivisibleError,
+    Observable,
+    bracket,
+    divide_by_i_hbar,
+    enumerate_monomials,
+    generator,
+    hbar_zero,
+    jacobi_residual,
+    leibniz_residual,
+    scale,
+)
+from qcbracket.algebra import _product
+from qcbracket.brackets import (_classical_part, _commuted, _concatenated,
+                                _symmetrized, _written_order)
+import oracles
+from oracles import assert_canonical
+
+rationals = st.fractions(min_value=Fraction(-6), max_value=Fraction(6),
+                         max_denominator=6)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+# Zero in every scalar type the operations accept.
+scalars = st.one_of(st.integers(-4, 4), rationals, gaussians)
+
+
+@st.composite
+def series(draw, max_terms=3):
+    """An hbar-series of 0 to ``max_terms`` terms; drawn zeros are dropped."""
+    degrees = draw(st.lists(st.integers(0, 3), max_size=max_terms, unique=True))
+    return HbarSeries({d: draw(gaussians) for d in degrees})
+
+
+@st.composite
+def series_pairs(draw):
+    a = draw(series())
+    if draw(st.booleans()):
+        return a, draw(series())
+    # a(hbar) * a(-hbar) is even in hbar: every odd-degree term cancels.
+    return a, HbarSeries({d: -c if d % 2 else c for d, c in a.terms.items()})
+
+
+@st.composite
+def observables(draw, max_terms=3):
+    """Degree <= 3 monomials of one sector; coefficients may be multi-term."""
+    sector = draw(st.sampled_from(("all", "classical", "quantum")))
+    pool = [m for m in enumerate_monomials(3)
+            if sector == "all" or (m.is_classical if sector == "classical"
+                                   else m.is_quantum)]
+    monomials = draw(st.lists(st.sampled_from(pool), max_size=max_terms, unique=True))
+    return Observable({m: draw(series()) for m in monomials})
+
+
+@st.composite
+def observable_pairs(draw):
+    """(a, b) where b may repeat or negate some of a's terms, so a + b and
+    a - b cancel them; either side may be zero."""
+    a, b = draw(observables()), draw(observables())
+    sign = draw(st.sampled_from((1, -1)))
+    shared = {m: s * sign for m, s in a.terms.items() if draw(st.booleans())}
+    return a, b + Observable(shared)
+
+
+# --- fast paths against the general paths they replaced ----------------------------
+
+@settings(deadline=None, max_examples=200)
+@given(series_pairs())
+def test_series_product_equals_the_double_loop(pair):
+    a, b = pair
+    product = a * b
+    assert product == oracles.series_product(a, b)
+    assert_canonical(product)
+
+
+@settings(deadline=None, max_examples=150)
+@given(series(), scalars)
+def test_series_times_a_scalar_equals_the_double_loop(a, s):
+    expected = oracles.series_product(a, s)
+    assert a * s == expected
+    assert s * a == expected
+    assert_canonical(a * s)
+
+
+def test_series_times_scalar_zero_is_zero():
+    a = HbarSeries({0: GaussianRational(1, 2), 3: GaussianRational(Fraction(-1, 3))})
+    for zero in (0, Fraction(0), GaussianRational(0)):
+        assert a * zero == zero * a == HbarSeries()
+        assert not (a * zero).terms
+
+
+@settings(deadline=None, max_examples=100)
+@given(observable_pairs())
+def test_subtraction_and_negation_equal_the_oracles(pair):
+    a, b = pair
+    assert a - b == oracles.difference(a, b)
+    assert b - a == oracles.difference(b, a)
+    assert -a == oracles.negation(a)
+    assert a - a == ZERO
+    # An empty side returns the other operand itself.
+    assert a + ZERO is a and a - ZERO is a
+    assert (ZERO + a) is (a if a else ZERO)
+    assert ZERO - a == -a
+
+
+@settings(deadline=None, max_examples=100)
+@given(observables())
+def test_divide_by_i_hbar_equals_the_oracle(a):
+    divisible = scale(HbarSeries.hbar(), a)
+    assert divide_by_i_hbar(divisible) == oracles.divided_by_i_hbar(divisible)
+    if any(0 in s.terms for s in a.terms.values()):
+        with pytest.raises(NotDivisibleError):
+            divide_by_i_hbar(a)
+        with pytest.raises(NotDivisibleError):
+            oracles.divided_by_i_hbar(a)
+
+
+@settings(deadline=None, max_examples=80)
+@given(observable_pairs())
+def test_product_kernel_equals_the_oracles(pair):
+    a, b = pair
+    ab, ba = oracles.star_product(a, b), oracles.star_product(b, a)
+    assert _product(a, b) == ab
+    assert _product(a, b, _commuted) == oracles.difference(ab, ba)
+
+
+@settings(deadline=None, max_examples=80)
+@given(observable_pairs())
+def test_classical_part_equals_the_oracles(pair):
+    a, b = pair
+    ab, ba = oracles.ordered_poisson(a, b), oracles.ordered_poisson(b, a)
+    assert _classical_part(a, b, _written_order) == ab
+    assert _classical_part(a, b, _symmetrized) == scale(
+        Fraction(1, 2), oracles.difference(ab, ba))
+    assert _classical_part(a, b, _concatenated) == oracles.normal_bracket_classical(a, b)
+
+
+def test_empty_results_are_the_shared_zero():
+    x, k, q, p = (generator(name) for name in "xkqp")
+    assert divide_by_i_hbar(ZERO) is ZERO
+    assert _product(ZERO, q) is ZERO
+    assert _product(x * q, k * q, _commuted) is ZERO      # the words commute
+    assert bracket(BracketKind.COMMUTATOR, x, k) is ZERO
+    assert _classical_part(q, p, _written_order) is ZERO  # no classical factor
+    assert _classical_part(x * q, x * p, _written_order) is ZERO  # zero weight
+
+
+# --- every result is canonical ------------------------------------------------------
+
+@settings(deadline=None, max_examples=100)
+@given(observable_pairs(), st.one_of(scalars, series()))
+def test_operation_results_are_canonical(pair, s):
+    a, b = pair
+    for result in (a + b, a - b, -a, a * b, scale(s, a), hbar_zero(a * b),
+                   divide_by_i_hbar(a * b - b * a),
+                   divide_by_i_hbar(scale(HbarSeries.hbar(2), a))):
+        assert_canonical(result)
+
+
+@settings(deadline=None, max_examples=40)
+@given(observable_pairs(), observables(max_terms=2))
+def test_bracket_and_residual_results_are_canonical(pair, c):
+    a, b = pair
+    for kind in BracketKind:
+        assert_canonical(bracket(kind, a, b))
+        assert_canonical(jacobi_residual(kind, a, b, c).residual)
+        assert_canonical(leibniz_residual(kind, a, b, c).residual)

@@ -402,6 +402,19 @@ def test_scan_past_the_triple_cap_exits_2(capsys):
                             " of 10000000\n")
 
 
+@pytest.mark.parametrize("samples, message", [
+    ("0", "samples must be positive"),
+    ("1000001", "axiom sweep of 1000001 samples exceeds the cap of 1000000"),
+])
+def test_axioms_outside_the_sample_budget_exit_2(capsys, samples, message):
+    # Refused before any quadruple is drawn: no output, one error line.
+    code = run(["axioms", "--kind", "normal", "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str digit limit on this Python")
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -262,7 +262,10 @@ def test_axiom_sweep_mixed_kinds_hold():
 
 
 def test_axiom_sweep_zero_samples():
-    assert axiom_sweep(NORMAL, 0, 5) == []
+    # An empty sweep would read as "no violations", so it is refused.
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            axiom_sweep(NORMAL, samples, 5)
 
 
 def test_axiom_sweep_detects_violations():
