@@ -8,6 +8,11 @@ coefficient that is a polynomial in the formal symbol ``hbar`` over the
 Gaussian rationals.  All arithmetic is exact; there is no floating point
 anywhere and equality of observables is bit-equality of their term maps.
 
+Products and brackets differ only in how the q,p words of two terms are
+joined.  Each join rule is one word table (``_reordered``, ``_symmetrized``,
+``_commuted``, ``_concatenated``), read by the two term-pair kernels
+``_product`` and ``_classical_part``.
+
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
 """
@@ -281,6 +286,7 @@ def _series(terms: dict[int, GaussianRational]) -> HbarSeries:
 
 _SERIES_ZERO = HbarSeries()
 _SERIES_ONE = HbarSeries(1)
+_SCALARS = (HbarSeries, GaussianRational, int, Fraction)
 
 
 def _as_series(value: ScalarLike) -> HbarSeries:
@@ -349,9 +355,11 @@ class Observable:
         return self.terms == other.terms
 
     def __add__(self, other: "Observable") -> "Observable":
+        if not isinstance(other, Observable):
+            return NotImplemented
         if not other.terms:
             return self
-        if not self.terms and isinstance(other, Observable):
+        if not self.terms:
             return other
         merged = dict(self.terms)
         for monomial, series in other.terms.items():
@@ -360,6 +368,8 @@ class Observable:
         return _observable(merged)
 
     def __sub__(self, other: "Observable") -> "Observable":
+        if not isinstance(other, Observable):
+            return NotImplemented
         if not other.terms:
             return self
         merged = dict(self.terms)
@@ -374,11 +384,15 @@ class Observable:
     def __mul__(self, other: "Observable | ScalarLike") -> "Observable":
         if isinstance(other, Observable):
             return _product(self, other)
-        return scale(other, self)
+        if isinstance(other, _SCALARS):
+            return scale(other, self)
+        return NotImplemented
 
     def __rmul__(self, other: ScalarLike) -> "Observable":
         # Scalars commute, so only Observable * Observable needs order care.
-        return scale(other, self)
+        if isinstance(other, _SCALARS):
+            return scale(other, self)
+        return NotImplemented
 
     def __pow__(self, exponent: int) -> "Observable":
         if exponent < 0:
@@ -472,7 +486,6 @@ def scale(coeff: ScalarLike, a: Observable) -> Observable:
     return _make_observable({m: series * s for m, s in a.terms.items()})
 
 
-@lru_cache(maxsize=None)
 def reorder(t: int, r: int) -> Observable:
     """Normal-ordered expansion of the word p^t q^r.
 
@@ -480,37 +493,66 @@ def reorder(t: int, r: int) -> Observable:
 
         p^t q^r = sum_j j! C(t,j) C(r,j) (-i*hbar)^j q^(r-j) p^(t-j),
 
-    which is what this returns.  The test suite checks it against the literal
-    swap rewriting for all t, r <= 6.
+    the standard-ordered star product of Agarwal & Wolf (Phys. Rev. D 2, 2161,
+    1970).  The test suite checks it against literal swaps for all t, r <= 6.
     """
     if t < 0 or r < 0:
         raise ValueError("exponents must be nonnegative")
-    terms: dict[QCMonomial, HbarSeries] = {}
-    for j in range(min(t, r) + 1):
-        count = factorial(j) * comb(t, j) * comb(r, j)
-        coeff = _NEG_I_POW[j % 4] * count
-        terms[QCMonomial(0, 0, r - j, t - j)] = _series({j: coeff})
-    return _observable(terms)
+    return _make_observable(
+        {QCMonomial(0, 0, r - j, t - j): w for j, w in _reorder_terms(t, r)})
+
+
+# Bounds the word tables keyed on whole term pairs, which large powers flood.
+_WORD_CACHE_SIZE = 4096
+_CONCATENATION = ((0, _SERIES_ONE),)
 
 
 @lru_cache(maxsize=None)
 def _reorder_terms(t: int, r: int) -> tuple[tuple[int, HbarSeries], ...]:
-    """reorder(t, r) as its terms (j, w_j), j ascending from 0."""
-    return tuple((r - m.n_q, w) for m, w in reorder(t, r).terms.items())
+    """The terms (j, j! C(t,j) C(r,j) (-i*hbar)^j) of p^t q^r, j ascending from 0."""
+    return tuple(
+        (j, _make_series({j: _NEG_I_POW[j % 4] * (factorial(j) * comb(t, j) * comb(r, j))}))
+        for j in range(min(t, r) + 1))
 
 
 def _reordered(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
-    """Every term (j, w_j) of q^r1 (p^t1 q^r2) p^t2: only p^t1 q^r2 reorders,
-    so the cache is keyed on (t1, r2) and stays small in large products."""
+    """Written order q^r1 (p^t1 q^r2) p^t2: only p^t1 q^r2 reorders, so the
+    cache is keyed on (t1, r2) and stays small in large products."""
     return _reorder_terms(t1, r2)
+
+
+def _concatenated(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """Plain concatenation q^(r1+r2) p^(t1+t2): the j = 0 term alone."""
+    return _CONCATENATION
+
+
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
+def _symmetrized(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """(W1*W2 + W2*W1)/2, the mean of both written orders; j = 0 averages to 1."""
+    mean = dict(_reordered(t1, r1, t2, r2))
+    for j, w in _reordered(t2, r2, t1, r1):
+        mean[j] = mean[j] + w if j in mean else w
+    return tuple((j, w * Fraction(1, 2)) for j, w in sorted(mean.items()))
+
+
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
+def _commuted(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """W1*W2 - W2*W1: the j = 0 terms of both orders cancel, and only nonzero
+    differences are kept, so the table has no j = 0 term."""
+    diff = dict(_reordered(t1, r1, t2, r2))
+    for j, w in _reordered(t2, r2, t1, r1):
+        diff[j] = diff[j] - w if j in diff else -w
+    return tuple((j, w) for j, w in sorted(diff.items()) if w)
 
 
 def _product(a: Observable, b: Observable, word=_reordered) -> Observable:
     """Sum over term pairs of c1*c2 times each term (j, w_j) of their word.
 
-    ``word(t1, r1, t2, r2)`` joins q^r1 p^t1 and q^r2 p^t2 (x and k commute
-    freely); term j lands on x^(n1+n2) k^(m1+m2) q^(r1+r2-j) p^(t1+t2-j).
-    A pair whose word has no terms costs no coefficient arithmetic.
+    For terms c1 x^n1 k^m1 q^r1 p^t1 and c2 x^n2 k^m2 q^r2 p^t2,
+    ``word(t1, r1, t2, r2)`` lists every term (j, w_j) of the joined q,p word,
+    j ascending; term j adds c1*c2*w_j on x^(n1+n2) k^(m1+m2) q^(r1+r2-j)
+    p^(t1+t2-j).  A j = 0 term has weight exactly 1 and adds c1*c2 as is; a
+    pair whose word has no terms costs no coefficient arithmetic.
     """
     acc: dict[QCMonomial, HbarSeries] = {}
     for m1, c1 in a.terms.items():
@@ -524,7 +566,33 @@ def _product(a: Observable, b: Observable, word=_reordered) -> Observable:
             n_x, n_k, n_q, n_p = n1 + n2, k1 + k2, r1 + r2, t1 + t2
             for j, w in terms:
                 mono = QCMonomial(n_x, n_k, n_q - j, n_p - j)
-                term = c12 * w
+                term = c12 * w if j else c12
+                prev = acc.get(mono)
+                acc[mono] = term if prev is None else prev + term
+    return _observable(acc) if acc else ZERO
+
+
+def _classical_part(a: Observable, b: Observable, word) -> Observable:
+    """Coefficient-Poisson bracket of a and b, with the q,p words joined by ``word``.
+
+    Same word contract as ``_product``; term j of the word adds
+    (n1*m2 - m1*n2) c1*c2*w_j on x^(n1+n2-1) k^(m1+m2-1) q^(r1+r2-j) p^(t1+t2-j).
+    """
+    acc: dict[QCMonomial, HbarSeries] = {}
+    for m1, c1 in a.terms.items():
+        n1, k1, r1, t1 = m1
+        if not (n1 or k1):
+            continue
+        for m2, c2 in b.terms.items():
+            n2, k2, r2, t2 = m2
+            weight = n1 * k2 - k1 * n2
+            if not weight:
+                continue
+            c12 = (c1 * c2) * weight
+            n_x, n_k, n_q, n_p = n1 + n2 - 1, k1 + k2 - 1, r1 + r2, t1 + t2
+            for j, w in word(t1, r1, t2, r2):
+                mono = QCMonomial(n_x, n_k, n_q - j, n_p - j)
+                term = c12 * w if j else c12
                 prev = acc.get(mono)
                 acc[mono] = term if prev is None else prev + term
     return _observable(acc) if acc else ZERO
@@ -583,11 +651,6 @@ def hbar_zero(a: Observable) -> Observable:
     return _observable({m: c.constant_part() for m, c in a.terms.items()})
 
 
-def _symbols(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
-    """The commutative word: exponents add, no reordering terms."""
-    return ((0, _SERIES_ONE),)
-
-
 def symbol_poisson(a: Observable, b: Observable) -> Observable:
     """Full two-degree-of-freedom Poisson bracket on commuting symbols.
 
@@ -598,10 +661,10 @@ def symbol_poisson(a: Observable, b: Observable) -> Observable:
     if not a.is_hbar_free() or not b.is_hbar_free():
         raise ValueError("symbol_poisson requires hbar-free inputs")
     return (
-        _product(partial_x(a), partial_k(b), _symbols)
-        - _product(partial_k(a), partial_x(b), _symbols)
-        + _product(partial_q(a), partial_p(b), _symbols)
-        - _product(partial_p(a), partial_q(b), _symbols)
+        _product(partial_x(a), partial_k(b), _concatenated)
+        - _product(partial_k(a), partial_x(b), _concatenated)
+        + _product(partial_q(a), partial_p(b), _concatenated)
+        - _product(partial_p(a), partial_q(b), _concatenated)
     )
 
 

@@ -11,17 +11,13 @@ Four candidate brackets act on mixed observables:
                    x,k coefficient functions and concatenates the q,p words
                    without reordering.
 
-The commutator is one pass of the operator-product kernel
-``algebra._product`` over the antisymmetrized word ``_commuted``: for each
-term pair, the j >= 1 reordering terms of the written order minus those of
-the reverse order.  The hbar-free j = 0 terms of AB and BA are equal and
-would cancel, so they are never built; the sum is divided by i*hbar.
-
-The classical parts of ``poisson``, ``aleksandrov`` and ``normal_order`` are
-one term-pair loop, ``_classical_part``; they differ only in how the q,p
-words of the two terms are joined: written order, the mean of both orders,
-or plain concatenation.  The reordering terms are the standard-ordered
-star-product terms of Agarwal & Wolf (Phys. Rev. D 2, 2161, 1970).
+The commutator is one pass of ``algebra._product`` over the antisymmetrized
+word table ``_commuted``, divided by i*hbar; the hbar-free terms of AB and BA
+are never built.  The classical parts of ``poisson``, ``aleksandrov`` and
+``normal_order`` are ``algebra._classical_part`` with the q,p words joined in
+written order (``_reordered``), as the mean of both orders
+(``_symmetrized``), or concatenated (``_concatenated``).  This module only
+defines brackets and residuals; the tables and kernels live in ``algebra``.
 
 Residual functionals (Jacobi, Leibniz, the sector-factorization axioms, the
 classical limit) return the full residual observable so that violation
@@ -32,17 +28,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import (
-    HbarSeries,
     Observable,
-    QCMonomial,
-    ZERO,
-    _observable,
+    _classical_part,
+    _commuted,
+    _concatenated,
     _product,
     _reordered,
+    _symmetrized,
     divide_by_i_hbar,
     hbar_zero,
     symbol_poisson,
@@ -87,42 +81,6 @@ class ResidualReport:
         return not self.residual
 
 
-# Bounds the word tables keyed on whole term pairs, which large powers flood.
-_WORD_CACHE_SIZE = 4096
-
-
-def _concatenated(t1: int, r1: int, t2: int, r2: int) -> tuple:
-    """q^r1 p^t1 . q^r2 p^t2 joined without reordering: no hbar terms."""
-    return ()
-
-
-def _written_order(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
-    """Terms j >= 1 of the product q^r1 (p^t1 q^r2) p^t2."""
-    return _reordered(t1, r1, t2, r2)[1:]
-
-
-@lru_cache(maxsize=_WORD_CACHE_SIZE)
-def _symmetrized(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
-    """Terms j >= 1 of (W1*W2 + W2*W1)/2, the mean of both written orders."""
-    mean: dict[int, HbarSeries] = {}
-    for j, w in _written_order(t1, r1, t2, r2) + _written_order(t2, r2, t1, r1):
-        mean[j] = mean[j] + w if j in mean else w
-    return tuple((j, w * Fraction(1, 2)) for j, w in sorted(mean.items()))
-
-
-@lru_cache(maxsize=_WORD_CACHE_SIZE)
-def _commuted(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
-    """Terms j >= 1 of W1*W2 - W2*W1, the difference of both written orders.
-
-    The j = 0 terms of both orders are the same word and cancel, as do equal
-    words; only the nonzero differences are kept.
-    """
-    diff = dict(_written_order(t1, r1, t2, r2))
-    for j, w in _written_order(t2, r2, t1, r1):
-        diff[j] = diff[j] - w if j in diff else -w
-    return tuple((j, w) for j, w in sorted(diff.items()) if w)
-
-
 def quantum_bracket(a: Observable, b: Observable) -> Observable:
     """(A,B)_q = (AB - BA)/(i*hbar).
 
@@ -130,38 +88,6 @@ def quantum_bracket(a: Observable, b: Observable) -> Observable:
     hbar-free terms of AB and BA, which would cancel, are never built.
     """
     return divide_by_i_hbar(_product(a, b, _commuted))
-
-
-def _classical_part(a: Observable, b: Observable, word) -> Observable:
-    """Coefficient-Poisson bracket of a and b, with the q,p words joined by ``word``.
-
-    For terms c1 x^n1 k^m1 q^r1 p^t1 and c2 x^n2 k^m2 q^r2 p^t2 the
-    contribution is (n1*m2 - m1*n2) c1*c2 x^(n1+n2-1) k^(m1+m2-1) times the
-    joined word.  Every rule keeps the concatenation q^(r1+r2) p^(t1+t2) with
-    weight 1; ``word(t1, r1, t2, r2)`` lists the further terms (j, w_j), each
-    placed on q^(r1+r2-j) p^(t1+t2-j).
-    """
-    acc: dict[QCMonomial, HbarSeries] = {}
-    for m1, c1 in a.terms.items():
-        n1, k1, r1, t1 = m1
-        if not (n1 or k1):
-            continue
-        for m2, c2 in b.terms.items():
-            n2, k2, r2, t2 = m2
-            weight = n1 * k2 - k1 * n2
-            if not weight:
-                continue
-            c12 = (c1 * c2) * weight
-            n_x, n_k, n_q, n_p = n1 + n2 - 1, k1 + k2 - 1, r1 + r2, t1 + t2
-            mono = QCMonomial(n_x, n_k, n_q, n_p)
-            prev = acc.get(mono)
-            acc[mono] = c12 if prev is None else prev + c12
-            for j, w in word(t1, r1, t2, r2):
-                mono = QCMonomial(n_x, n_k, n_q - j, n_p - j)
-                term = c12 * w
-                prev = acc.get(mono)
-                acc[mono] = term if prev is None else prev + term
-    return _observable(acc) if acc else ZERO
 
 
 def ordered_poisson(a: Observable, b: Observable) -> Observable:
@@ -172,7 +98,7 @@ def ordered_poisson(a: Observable, b: Observable) -> Observable:
     it non-antisymmetric, which is why the symmetrized combination below
     exists.
     """
-    return _classical_part(a, b, _written_order)
+    return _classical_part(a, b, _reordered)
 
 
 def aleksandrov_bracket(a: Observable, b: Observable) -> Observable:

@@ -12,9 +12,10 @@ Whitespace is insignificant.  Products need an explicit '*': "xq" is not
 "x*q", because single-letter symbols next to each other would otherwise be
 ambiguous with multi-letter names like "hbar".  Division exists only inside
 rational literals; exponents are unsigned integers capped at 64, and no
-product or power may reach a total degree above 1024, nor may the summed
-degree of the inputs of one bracket or identity command.  The Unicode "ℏ"
-is accepted on input as an alias for "hbar" but never printed.
+product or power may reach a total degree (hbar counted) above 1024 or
+coefficients too long to print (estimated from its operands), nor may the
+summed degree of the inputs of one bracket or identity command pass 1024.
+The Unicode "ℏ" is accepted on input as an alias for "hbar" but never printed.
 
 Factor order is preserved through evaluation, so "p*q" and "q*p" denote
 different products even though both print in canonical form (q before p).
@@ -22,8 +23,10 @@ different products even though both print in canonical form (q before p).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 from typing import Any, Mapping
 
 from .algebra import (
@@ -36,9 +39,9 @@ from .algebra import (
 )
 
 EXPONENT_CAP = 64
-# Bounds the total degree of every product and power before it is computed,
-# since nested powers evade EXPONENT_CAP, and the summed degree of the inputs
-# of a bracket or identity command, which is the degree of its products.
+# Bounds the total degree (hbar counted) of every product and power before it
+# is computed, since nested powers evade EXPONENT_CAP, and the summed degree of
+# the inputs of a bracket or identity command, which is the degree of its products.
 DEGREE_CAP = 1024
 # Parentheses nest by recursion; the cap keeps deep input a SyntaxError
 # instead of a RecursionError.
@@ -49,7 +52,8 @@ _SYMBOL_NAMES = ("x", "k", "q", "p", "hbar", "i")
 
 class ExponentError(SyntaxError):
     """Exponent outside the supported range (negative, or above the cap),
-    or a product, power or command whose degree would exceed DEGREE_CAP."""
+    or a product, power or command whose degree would exceed DEGREE_CAP,
+    or a product or power whose coefficients would be too long to print."""
 
 
 # --- tokenizer and parser ---------------------------------------------------
@@ -96,14 +100,29 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _degree(a: Observable) -> int:
-    return max((m.degree for m in a.terms), default=0)
+    """Monomial degree plus hbar degree, which products add."""
+    return max((m.degree + max(s.terms) for m, s in a.terms.items()), default=0)
 
 
-def _check_degree(degree: int, pos: int) -> None:
+def _bits(a: Observable) -> int:
+    """Largest bit length of a numerator or denominator of a coefficient."""
+    return max((max(c._a.bit_length(), c._b.bit_length(), c._d.bit_length())
+                for s in a.terms.values() for c in s.terms.values()), default=0)
+
+
+def _check_size(degree: int, bits: int, pos: int) -> None:
+    """Refuse a product or power, before it is computed, whose degree passes
+    DEGREE_CAP or whose estimated coefficients the interpreter would not print."""
     if degree > DEGREE_CAP:
         raise ExponentError(
             f"result degree {degree} at position {pos}"
             f" exceeds the cap of {DEGREE_CAP}")
+    # Interpreters without the int-to-str digit limit print any int.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and bits * log10(2) > limit:
+        raise ExponentError(
+            f"result coefficients of about {bits} bits at position {pos}"
+            f" exceed the {limit}-digit limit of int printing")
 
 
 def _unknown_symbol(tok: _Token) -> SyntaxError:
@@ -145,7 +164,8 @@ class _Parser:
         while self.peek().kind == "*":
             star = self.take()
             right = self.factor()
-            _check_degree(_degree(result) + _degree(right), star.pos)
+            _check_size(_degree(result) + _degree(right),
+                        _bits(result) + _bits(right), star.pos)
             result = result * right
         nxt = self.peek()
         if nxt.kind in ("int", "name", "("):
@@ -171,7 +191,7 @@ class _Parser:
             raise ExponentError(
                 f"exponent {exponent} at position {tok.pos}"
                 f" exceeds the cap of {EXPONENT_CAP}")
-        _check_degree(_degree(base) * exponent, tok.pos)
+        _check_size(_degree(base) * exponent, _bits(base) * exponent, tok.pos)
         return base ** exponent
 
     def base(self) -> Observable:

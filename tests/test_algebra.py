@@ -161,6 +161,19 @@ def test_add_inverse_and_merge():
     assert xq + xq == scale(2, xq)
 
 
+@pytest.mark.parametrize("call", [lambda: X + 1, lambda: X - 1,
+                                  lambda: X * "a", lambda: "a" * X])
+def test_observable_operators_reject_other_types(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_observable_times_scalar_in_either_order():
+    assert 2 * X == X * 2 == scale(2, X)
+    assert X * Fraction(1, 2) == scale(Fraction(1, 2), X)
+    assert HbarSeries.hbar() * X == X * HBAR == build({(1, 0, 0, 0): {1: (1, 0)}})
+
+
 def test_scale_examples():
     assert scale(0, X * Q) == ZERO
     i_hbar = HbarSeries.hbar(1, GaussianRational(0, 1))

@@ -23,7 +23,7 @@ from qcbracket import (
     random_observable,
     scale,
 )
-from qcbracket import brackets
+from qcbracket import algebra
 from oracles import build
 
 X, K, Q, P = (generator(n) for n in "xkqp")
@@ -255,7 +255,7 @@ def test_word_tables_are_bounded():
     # Large powers meet about 11,000 distinct term pairs; the tables keyed on
     # whole pairs must not keep them all.
     bracket(BracketKind.COMMUTATOR, parse("(q+p)^20"), parse("(q-p+x)^12"))
-    for table in (brackets._symmetrized, brackets._commuted):
+    for table in (algebra._symmetrized, algebra._commuted):
         info = table.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize

@@ -30,9 +30,8 @@ from qcbracket import (
     leibniz_residual,
     scale,
 )
-from qcbracket.algebra import _product
-from qcbracket.brackets import (_classical_part, _commuted, _concatenated,
-                                _symmetrized, _written_order)
+from qcbracket.algebra import (_classical_part, _commuted, _concatenated, _product,
+                               _reordered, _symmetrized)
 import oracles
 from oracles import assert_canonical
 
@@ -147,7 +146,7 @@ def test_product_kernel_equals_the_oracles(pair):
 def test_classical_part_equals_the_oracles(pair):
     a, b = pair
     ab, ba = oracles.ordered_poisson(a, b), oracles.ordered_poisson(b, a)
-    assert _classical_part(a, b, _written_order) == ab
+    assert _classical_part(a, b, _reordered) == ab
     assert _classical_part(a, b, _symmetrized) == scale(
         Fraction(1, 2), oracles.difference(ab, ba))
     assert _classical_part(a, b, _concatenated) == oracles.normal_bracket_classical(a, b)
@@ -159,8 +158,8 @@ def test_empty_results_are_the_shared_zero():
     assert _product(ZERO, q) is ZERO
     assert _product(x * q, k * q, _commuted) is ZERO      # the words commute
     assert bracket(BracketKind.COMMUTATOR, x, k) is ZERO
-    assert _classical_part(q, p, _written_order) is ZERO  # no classical factor
-    assert _classical_part(x * q, x * p, _written_order) is ZERO  # zero weight
+    assert _classical_part(q, p, _reordered) is ZERO  # no classical factor
+    assert _classical_part(x * q, x * p, _reordered) is ZERO  # zero weight
 
 
 # --- every result is canonical ------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,6 +151,29 @@ def test_result_degree_past_the_cap_exits_2(capsys):
     assert captured.out == ""
     assert captured.err == ("error: result degree 2048 at position 10"
                             " exceeds the cap of 1024\n")
+
+
+@pytest.mark.parametrize("text", [
+    "((1+hbar)^64)^64",                # hbar degree 4096
+    "((((2^64)^64)^64)^64)^64",        # coefficients past the int-to-str limit
+    "(((((2^64)^64)^64)^64)^64)^64",
+])
+def test_runaway_hbar_and_scalar_powers_exit_2(capsys, text):
+    # Refused from the operands' degree and coefficient size, before computing.
+    start = time.perf_counter()
+    assert run(["canon", text]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_large_printable_powers_run(capsys):
+    assert run(["canon", "(2^64)^64"]) == 0
+    assert capsys.readouterr().out == format_observable(from_scalar(2 ** 4096)) + "\n"
+    assert run(["canon", "((1+hbar)^8)^8"]) == 0
+    expected = (from_scalar(1) + generator("hbar")) ** 64
+    assert capsys.readouterr().out == format_observable(expected) + "\n"
 
 
 @pytest.mark.parametrize("argv, total", [

@@ -24,7 +24,7 @@ from qcbracket import (
     random_observable,
     scan,
 )
-from qcbracket import brackets
+from qcbracket import algebra, brackets
 from qcbracket.explorer import SECTORS
 import oracles
 from oracles import build
@@ -52,24 +52,27 @@ def test_brackets_equal_the_partials_and_products_oracle(a, b):
 
 
 def _reordering_terms(t, r):
-    """{j: coefficient} of the j >= 1 terms of p^t q^r, by literal swaps."""
+    """{j: coefficient} of every term of p^t q^r, j = 0 included, by literal swaps."""
     word = oracles.swap_normal_form(t, r)
-    return {r - m.n_q: c for m, c in word.terms.items() if m.n_q != r}
+    return {r - m.n_q: c for m, c in word.terms.items()}
 
 
 def test_word_tables_match_the_swap_oracle():
+    # Every table lists its terms with j ascending; a j = 0 term has weight 1.
+    assert algebra._concatenated(3, 1, 2, 4) == ((0, HbarSeries(1)),)
     for t1, r2 in product(range(5), repeat=2):
         written = _reordering_terms(t1, r2)
-        assert dict(brackets._written_order(t1, 3, 2, r2)) == written
+        assert algebra._reordered(t1, 3, 2, r2) == tuple(sorted(written.items()))
         for t2, r1 in product(range(4), repeat=2):
             reverse = _reordering_terms(t2, r1)
             mean = {j: (written.get(j, HbarSeries()) + reverse.get(j, HbarSeries()))
                     * Fraction(1, 2) for j in written.keys() | reverse.keys()}
-            assert dict(brackets._symmetrized(t1, r1, t2, r2)) == mean
+            assert algebra._symmetrized(t1, r1, t2, r2) == tuple(sorted(mean.items()))
             difference = {j: written.get(j, HbarSeries()) - reverse.get(j, HbarSeries())
                           for j in written.keys() | reverse.keys()}
-            assert dict(brackets._commuted(t1, r1, t2, r2)) == {
-                j: w for j, w in difference.items() if w}
+            commuted = algebra._commuted(t1, r1, t2, r2)
+            assert commuted == tuple(sorted((j, w) for j, w in difference.items() if w))
+            assert all(j for j, _ in commuted)
 
 
 @pytest.mark.parametrize("kind", [BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER,
