@@ -15,7 +15,6 @@ from .algebra import (
     HbarSeries,
     NotDivisibleError,
     Observable,
-    QCMonomial,
     divide_by_i_hbar,
     from_scalar,
     generator,
@@ -63,7 +62,6 @@ from .syntax import (
 __all__ = [
     "GaussianRational",
     "HbarSeries",
-    "QCMonomial",
     "Observable",
     "NotDivisibleError",
     "ZERO",

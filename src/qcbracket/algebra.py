@@ -3,10 +3,11 @@
 Observables are polynomials in two commuting classical variables ``x``, ``k``
 and two quantum operators ``q``, ``p`` obeying ``[q, p] = i*hbar``.  Every
 element is kept in a canonical normal-ordered form: each term is the word
-``x^a k^b q^r p^t`` (all q's to the left of all p's) with an exact
-coefficient that is a polynomial in the formal symbol ``hbar`` over the
-Gaussian rationals.  All arithmetic is exact; there is no floating point
-anywhere and equality of observables is bit-equality of their term maps.
+``x^n_x k^n_k q^n_q p^n_p`` (all q's to the left of all p's), keyed by the
+plain tuple ``(n_x, n_k, n_q, n_p)``, with an exact coefficient that is a
+polynomial in the formal symbol ``hbar`` over the Gaussian rationals.  All
+arithmetic is exact; there is no floating point anywhere and equality of
+observables is bit-equality of their term maps.
 
 Products and brackets differ only in how the q,p words of two terms are
 joined.  Each join rule is one word table (``_reordered``, ``_symmetrized``,
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, Union
 
 
 class NotDivisibleError(ArithmeticError):
@@ -80,12 +81,16 @@ class GaussianRational:
 
     # Over d == 1 the gcd is 1, so results skip the reduction.
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         d1, d2 = self._d, other._d
         if d1 == d2:
             return (_make_gr if d1 == 1 else _gr)(self._a + other._a, self._b + other._b, d1)
         return _gr(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         d1, d2 = self._d, other._d
         if d1 == d2:
             return (_make_gr if d1 == 1 else _gr)(self._a - other._a, self._b - other._b, d1)
@@ -114,6 +119,8 @@ class GaussianRational:
             if n < 0:
                 n, m = -n, -m
             return _gr(self._a * m, self._b * m, self._d * n)
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         # 1/((a + b*i)/d) = d*(a - b*i)/(a^2 + b^2)
         a, b, d = other._a, other._b, other._d
         norm = a * a + b * b
@@ -213,6 +220,8 @@ class HbarSeries:
         return self.terms == other.terms
 
     def __add__(self, other: "HbarSeries") -> "HbarSeries":
+        if not isinstance(other, HbarSeries):
+            return NotImplemented
         merged = dict(self.terms)
         for degree, coeff in other.terms.items():
             prev = merged.get(degree)
@@ -220,6 +229,8 @@ class HbarSeries:
         return _series(merged)
 
     def __sub__(self, other: "HbarSeries") -> "HbarSeries":
+        if not isinstance(other, HbarSeries):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "HbarSeries":
@@ -295,47 +306,31 @@ def _as_series(value: ScalarLike) -> HbarSeries:
     return HbarSeries(value)
 
 
-class QCMonomial(NamedTuple):
-    """Exponent vector of the normal-ordered word x^n_x k^n_k q^n_q p^n_p."""
+# (n_x, n_k, n_q, n_p), the exponents of the word x^n_x k^n_k q^n_q p^n_p; its
+# degree is sum(m), it is classical when not (m[2] or m[3]) and quantum when
+# not (m[0] or m[1]).
+Monomial = tuple[int, int, int, int]
 
-    n_x: int = 0
-    n_k: int = 0
-    n_q: int = 0
-    n_p: int = 0
-
-    @property
-    def degree(self) -> int:
-        return self.n_x + self.n_k + self.n_q + self.n_p
-
-    @property
-    def is_classical(self) -> bool:
-        return self.n_q == 0 and self.n_p == 0
-
-    @property
-    def is_quantum(self) -> bool:
-        return self.n_x == 0 and self.n_k == 0
-
-
-_UNIT_MONOMIAL = QCMonomial()
+_UNIT_MONOMIAL = (0, 0, 0, 0)
 
 
 class Observable:
     """A finite sum of normal-ordered monomials with HbarSeries coefficients.
 
-    The representation is canonical: no stored coefficient is zero, and two
-    observables are equal exactly when their term maps are equal.  The empty
-    map is the unique zero.
+    ``terms`` maps each monomial, the plain tuple ``(n_x, n_k, n_q, n_p)``, to
+    its coefficient.  The representation is canonical: no stored coefficient
+    is zero, and two observables are equal exactly when their term maps are
+    equal.  The empty map is the unique zero.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[QCMonomial, HbarSeries] = ()) -> None:
-        store: dict[QCMonomial, HbarSeries] = {}
+    def __init__(self, terms: Mapping[Monomial, HbarSeries] = ()) -> None:
+        store: dict[Monomial, HbarSeries] = {}
         for monomial, series in dict(terms).items():
-            if not isinstance(monomial, QCMonomial):
-                monomial = QCMonomial(*monomial)
-            if any(e < 0 for e in monomial):
-                raise ValueError(f"negative exponent in {monomial}")
+            monomial = tuple(monomial)
+            if len(monomial) != 4 or any(e < 0 for e in monomial):
+                raise ValueError(f"monomial {monomial} is not four nonnegative exponents")
             if series:
                 store[monomial] = series
         object.__setattr__(self, "terms", store)
@@ -417,15 +412,15 @@ class Observable:
 
     def is_classical(self) -> bool:
         """No quantum content: every monomial has n_q = n_p = 0."""
-        return all(m.is_classical for m in self.terms)
+        return not any(m[2] or m[3] for m in self.terms)
 
     def is_quantum(self) -> bool:
         """No classical content: every monomial has n_x = n_k = 0."""
-        return all(m.is_quantum for m in self.terms)
+        return not any(m[0] or m[1] for m in self.terms)
 
     def __repr__(self) -> str:
         inside = ", ".join(
-            f"{tuple(m)}: {s!r}" for m, s in sorted(self.terms.items())
+            f"{m}: {s!r}" for m, s in sorted(self.terms.items())
         )
         return f"Observable({{{inside}}})"
 
@@ -433,14 +428,14 @@ class Observable:
 _set_observable_terms = Observable.terms.__set__
 
 
-def _make_observable(terms: dict[QCMonomial, HbarSeries]) -> Observable:
+def _make_observable(terms: dict[Monomial, HbarSeries]) -> Observable:
     """Trusted constructor for a dict built in this package with no zero series."""
     a = _new(Observable)
     _set_observable_terms(a, terms)
     return a
 
 
-def _observable(terms: dict[QCMonomial, HbarSeries]) -> Observable:
+def _observable(terms: dict[Monomial, HbarSeries]) -> Observable:
     """Trusted constructor for a dict built in this package; drops zeros, ZERO if all go."""
     kept = {m: s for m, s in terms.items() if s.terms}
     return _make_observable(kept) if kept else ZERO
@@ -450,10 +445,10 @@ ZERO = Observable()
 ONE = Observable({_UNIT_MONOMIAL: _SERIES_ONE})
 
 _GENERATORS: dict[str, Observable] = {
-    "x": Observable({QCMonomial(1, 0, 0, 0): _SERIES_ONE}),
-    "k": Observable({QCMonomial(0, 1, 0, 0): _SERIES_ONE}),
-    "q": Observable({QCMonomial(0, 0, 1, 0): _SERIES_ONE}),
-    "p": Observable({QCMonomial(0, 0, 0, 1): _SERIES_ONE}),
+    "x": Observable({(1, 0, 0, 0): _SERIES_ONE}),
+    "k": Observable({(0, 1, 0, 0): _SERIES_ONE}),
+    "q": Observable({(0, 0, 1, 0): _SERIES_ONE}),
+    "p": Observable({(0, 0, 0, 1): _SERIES_ONE}),
     "hbar": Observable({_UNIT_MONOMIAL: HbarSeries.hbar()}),
     "i": Observable({_UNIT_MONOMIAL: HbarSeries(_GR_I)}),
     "one": ONE,
@@ -499,15 +494,15 @@ def reorder(t: int, r: int) -> Observable:
     if t < 0 or r < 0:
         raise ValueError("exponents must be nonnegative")
     return _make_observable(
-        {QCMonomial(0, 0, r - j, t - j): w for j, w in _reorder_terms(t, r)})
+        {(0, 0, r - j, t - j): w for j, w in _reorder_terms(t, r)})
 
 
-# Bounds the word tables keyed on whole term pairs, which large powers flood.
+# Bounds every word table's cache; large powers flood those keyed on term pairs.
 _WORD_CACHE_SIZE = 4096
 _CONCATENATION = ((0, _SERIES_ONE),)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _reorder_terms(t: int, r: int) -> tuple[tuple[int, HbarSeries], ...]:
     """The terms (j, j! C(t,j) C(r,j) (-i*hbar)^j) of p^t q^r, j ascending from 0."""
     return tuple(
@@ -554,7 +549,7 @@ def _product(a: Observable, b: Observable, word=_reordered) -> Observable:
     p^(t1+t2-j).  A j = 0 term has weight exactly 1 and adds c1*c2 as is; a
     pair whose word has no terms costs no coefficient arithmetic.
     """
-    acc: dict[QCMonomial, HbarSeries] = {}
+    acc: dict[Monomial, HbarSeries] = {}
     for m1, c1 in a.terms.items():
         n1, k1, r1, t1 = m1
         for m2, c2 in b.terms.items():
@@ -565,7 +560,7 @@ def _product(a: Observable, b: Observable, word=_reordered) -> Observable:
             c12 = c1 * c2
             n_x, n_k, n_q, n_p = n1 + n2, k1 + k2, r1 + r2, t1 + t2
             for j, w in terms:
-                mono = QCMonomial(n_x, n_k, n_q - j, n_p - j)
+                mono = (n_x, n_k, n_q - j, n_p - j)
                 term = c12 * w if j else c12
                 prev = acc.get(mono)
                 acc[mono] = term if prev is None else prev + term
@@ -578,7 +573,7 @@ def _classical_part(a: Observable, b: Observable, word) -> Observable:
     Same word contract as ``_product``; term j of the word adds
     (n1*m2 - m1*n2) c1*c2*w_j on x^(n1+n2-1) k^(m1+m2-1) q^(r1+r2-j) p^(t1+t2-j).
     """
-    acc: dict[QCMonomial, HbarSeries] = {}
+    acc: dict[Monomial, HbarSeries] = {}
     for m1, c1 in a.terms.items():
         n1, k1, r1, t1 = m1
         if not (n1 or k1):
@@ -591,7 +586,7 @@ def _classical_part(a: Observable, b: Observable, word) -> Observable:
             c12 = (c1 * c2) * weight
             n_x, n_k, n_q, n_p = n1 + n2 - 1, k1 + k2 - 1, r1 + r2, t1 + t2
             for j, w in word(t1, r1, t2, r2):
-                mono = QCMonomial(n_x, n_k, n_q - j, n_p - j)
+                mono = (n_x, n_k, n_q - j, n_p - j)
                 term = c12 * w if j else c12
                 prev = acc.get(mono)
                 acc[mono] = term if prev is None else prev + term
@@ -599,12 +594,12 @@ def _classical_part(a: Observable, b: Observable, word) -> Observable:
 
 
 def _partial(a: Observable, axis: int) -> Observable:
-    out: dict[QCMonomial, HbarSeries] = {}
+    out: dict[Monomial, HbarSeries] = {}
     for m, c in a.terms.items():
         e = m[axis]
         if e == 0:
             continue
-        lowered = QCMonomial(*(v - 1 if i == axis else v for i, v in enumerate(m)))
+        lowered = m[:axis] + (e - 1,) + m[axis + 1:]
         term = c * e
         prev = out.get(lowered)
         out[lowered] = term if prev is None else prev + term
@@ -668,6 +663,6 @@ def symbol_poisson(a: Observable, b: Observable) -> Observable:
     )
 
 
-def monomial_observable(monomial: QCMonomial) -> Observable:
+def monomial_observable(monomial: Monomial) -> Observable:
     """The coefficient-1 observable for a single exponent vector."""
-    return _make_observable({monomial: _SERIES_ONE})
+    return Observable({monomial: _SERIES_ONE})

@@ -70,10 +70,8 @@ MIXED_KINDS = (BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER)
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """One identity check: the inputs, the bracket used, and the exact residual."""
+    """One identity check: the exact residual, zero when the identity holds."""
 
-    inputs: tuple[Observable, ...]
-    kind: BracketKind
     residual: Observable
 
     @property
@@ -144,7 +142,7 @@ def jacobi_residual(kind: BracketKind, a: Observable, b: Observable,
     """((A,B),C) + ((B,C),A) + ((C,A),B); zero exactly when Jacobi holds."""
     fn = _DISPATCH[kind]
     residual = fn(fn(a, b), c) + fn(fn(b, c), a) + fn(fn(c, a), b)
-    return ResidualReport((a, b, c), kind, residual)
+    return ResidualReport(residual)
 
 
 def leibniz_residual(kind: BracketKind, a: Observable, b: Observable,
@@ -152,7 +150,7 @@ def leibniz_residual(kind: BracketKind, a: Observable, b: Observable,
     """(AB,C) - (A,C)B - A(B,C), operator products in written order."""
     fn = _DISPATCH[kind]
     residual = fn(a * b, c) - fn(a, c) * b - a * fn(b, c)
-    return ResidualReport((a, b, c), kind, residual)
+    return ResidualReport(residual)
 
 
 def axiom_residuals(kind: BracketKind, c: Observable, q: Observable,
@@ -176,8 +174,8 @@ def axiom_residuals(kind: BracketKind, c: Observable, q: Observable,
     first = bracket(kind, cq, c2) - ordered_poisson(c, c2) * q
     second = bracket(kind, cq, q2) - quantum_bracket(q, q2) * c
     return (
-        ResidualReport((c, q, c2), kind, first),
-        ResidualReport((c, q, q2), kind, second),
+        ResidualReport(first),
+        ResidualReport(second),
     )
 
 
@@ -197,4 +195,4 @@ def classical_limit_residual(kind: BracketKind, a: Observable,
                 "commutator classical limit requires quantum-only inputs")
     residual = hbar_zero(bracket(kind, a, b)) - symbol_poisson(
         hbar_zero(a), hbar_zero(b))
-    return ResidualReport((a, b), kind, residual)
+    return ResidualReport(residual)

@@ -94,7 +94,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for rec in records:
             triple = ", ".join(format_observable(monomial_observable(m))
                                for m in rec.triple)
-            degree = sum(m.degree for m in rec.triple)
+            degree = sum(map(sum, rec.triple))
             print(f"degree={degree} triple=({triple})"
                   f" residual={format_observable(rec.residual)}"
                   f" min-hbar-degree={rec.residual_min_hbar_degree}")

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 from .algebra import (
     GaussianRational,
     HbarSeries,
+    Monomial,
     Observable,
-    QCMonomial,
     monomial_observable,
 )
 from .brackets import (
@@ -67,32 +67,32 @@ class ScanConfig:
 class ViolationRecord:
     """A triple whose identity residual did not vanish, with the exact residual."""
 
-    triple: tuple[QCMonomial, QCMonomial, QCMonomial]
+    triple: tuple[Monomial, Monomial, Monomial]
     residual: Observable
     residual_min_hbar_degree: int
 
 
-def enumerate_monomials(max_degree: int) -> list[QCMonomial]:
+def enumerate_monomials(max_degree: int) -> list[Monomial]:
     """All exponent vectors of total degree <= max_degree.
 
     Graded-lexicographic: grade ascending, then (n_x, n_k, n_q, n_p)
     lexicographically ascending within each grade.
     """
-    out: list[QCMonomial] = []
+    out: list[Monomial] = []
     for d in range(max_degree + 1):
         for n_x in range(d + 1):
             for n_k in range(d - n_x + 1):
                 for n_q in range(d - n_x - n_k + 1):
-                    out.append(QCMonomial(n_x, n_k, n_q, d - n_x - n_k - n_q))
+                    out.append((n_x, n_k, n_q, d - n_x - n_k - n_q))
     return out
 
 
-def _sector_monomials(max_degree: int, sector: str) -> list[QCMonomial]:
+def _sector_monomials(max_degree: int, sector: str) -> list[Monomial]:
     monos = enumerate_monomials(max_degree)
     if sector == "classical":
-        return [m for m in monos if m.is_classical]
+        return [m for m in monos if not (m[2] or m[3])]
     if sector == "quantum":
-        return [m for m in monos if m.is_quantum]
+        return [m for m in monos if not (m[0] or m[1])]
     return monos
 
 
@@ -125,7 +125,7 @@ def _triple_count(config: ScanConfig, count: int) -> int:
     return count ** 3
 
 
-def _evaluate(config: ScanConfig, monos: Sequence[QCMonomial],
+def _evaluate(config: ScanConfig, monos: Sequence[Monomial],
               observables: Sequence[Observable],
               idx: tuple[int, int, int]) -> ViolationRecord | None:
     a, b, c = (observables[i] for i in idx)
@@ -192,7 +192,7 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
                 records.extend(chunk)
     # The spans are contiguous and map keeps their order, so records are in
     # enumeration order; the stable sort only groups them by degree.
-    records.sort(key=lambda rec: sum(m.degree for m in rec.triple))
+    records.sort(key=lambda rec: sum(map(sum, rec.triple)))
     return records
 
 

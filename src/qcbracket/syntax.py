@@ -32,8 +32,8 @@ from typing import Any, Mapping
 from .algebra import (
     GaussianRational,
     HbarSeries,
+    Monomial,
     Observable,
-    QCMonomial,
     from_scalar,
     generator,
 )
@@ -101,7 +101,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 def _degree(a: Observable) -> int:
     """Monomial degree plus hbar degree, which products add."""
-    return max((m.degree + max(s.terms) for m, s in a.terms.items()), default=0)
+    return max((sum(m) + max(s.terms) for m, s in a.terms.items()), default=0)
 
 
 def _bits(a: Observable) -> int:
@@ -247,15 +247,15 @@ def parse(text: str) -> Observable:
 def _display_terms(a: Observable):
     # Graded-lex descending on (n_x, n_k, n_q, n_p); hbar degrees ascending
     # inside each monomial.
-    for mono in sorted(a.terms, key=lambda m: (m.degree, m), reverse=True):
+    for mono in sorted(a.terms, key=lambda m: (sum(m), m), reverse=True):
         yield mono, sorted(a.terms[mono].terms.items())
 
 
 def _atom(rational: Fraction, imaginary: bool, hbar_degree: int,
-          mono: QCMonomial) -> tuple[bool, str]:
+          mono: Monomial) -> tuple[bool, str]:
     factors: list[str] = []
     magnitude = abs(rational)
-    bare = not imaginary and hbar_degree == 0 and mono.degree == 0
+    bare = not imaginary and hbar_degree == 0 and sum(mono) == 0
     if magnitude != 1 or bare:
         if magnitude.denominator == 1:
             factors.append(str(magnitude))
@@ -321,7 +321,7 @@ class OutputRecord:
                     "im": (g.im.numerator, g.im.denominator),
                 }
                 for degree, g in series)
-            terms.append({"exp": tuple(mono), "coeff": coeff})
+            terms.append({"exp": mono, "coeff": coeff})
         return cls(format_observable(a), tuple(terms))
 
     @classmethod
@@ -347,7 +347,7 @@ class OutputRecord:
 
     def to_observable(self) -> Observable:
         return Observable({
-            QCMonomial(*term["exp"]): HbarSeries({
+            tuple(term["exp"]): HbarSeries({
                 c["hbar"]: GaussianRational(Fraction(*c["re"]), Fraction(*c["im"]))
                 for c in term["coeff"]})
             for term in self.terms})

@@ -24,7 +24,6 @@ from qcbracket import (
     HbarSeries,
     NotDivisibleError,
     Observable,
-    QCMonomial,
     divide_by_i_hbar,
     partial_k,
     partial_x,
@@ -108,11 +107,11 @@ def swap_normal_form(t: int, r: int) -> Observable:
             _accumulate(successors, swapped, coeff)
             _accumulate(successors, dropped, coeff * MINUS_I_HBAR)
         pending = {w: c for w, c in successors.items() if c}
-    collected: dict[QCMonomial, HbarSeries] = {}
+    collected: dict[tuple, HbarSeries] = {}
     for word, coeff in finished.items():
         n_q = word.count("q")
         assert word == ("q",) * n_q + ("p",) * (len(word) - n_q)
-        _accumulate(collected, QCMonomial(0, 0, n_q, len(word) - n_q), coeff)
+        _accumulate(collected, (0, 0, n_q, len(word) - n_q), coeff)
     return Observable({m: c for m, c in collected.items() if c})
 
 
@@ -133,7 +132,7 @@ def build(spec: dict) -> Observable:
     Rational parts may be ints or (numerator, denominator) pairs.
     """
     return Observable({
-        QCMonomial(*exponents): HbarSeries({
+        exponents: HbarSeries({
             degree: GaussianRational(_fraction(re), _fraction(im))
             for degree, (re, im) in series.items()})
         for exponents, series in spec.items()})
@@ -181,24 +180,24 @@ def normal_bracket(a: Observable, b: Observable) -> Observable:
 
 def derivative(a: Observable, axis: int, times: int = 1) -> Observable:
     """The ``times``-th derivative along exponent ``axis`` (x, k, q, p = 0..3)."""
-    out: dict[QCMonomial, HbarSeries] = {}
+    out: dict[tuple, HbarSeries] = {}
     for m, c in a.terms.items():
         e = m[axis]
         if e < times:
             continue
         lowered = list(m)
         lowered[axis] = e - times
-        _accumulate(out, QCMonomial(*lowered),
+        _accumulate(out, tuple(lowered),
                     c * (factorial(e) // factorial(e - times)))
     return Observable({m: c for m, c in out.items() if c})
 
 
 def symbol_product(a: Observable, b: Observable) -> Observable:
     """Commutative product of symbols: exponents add, no reordering."""
-    out: dict[QCMonomial, HbarSeries] = {}
+    out: dict[tuple, HbarSeries] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            _accumulate(out, QCMonomial(*(e1 + e2 for e1, e2 in zip(m1, m2))),
+            _accumulate(out, tuple(e1 + e2 for e1, e2 in zip(m1, m2)),
                         c1 * c2)
     return Observable({m: c for m, c in out.items() if c})
 
@@ -274,7 +273,7 @@ def assert_canonical(value: "Observable | HbarSeries") -> None:
         assert type(value) is Observable, type(value)
         entries = value.terms.items()
         for m, series in entries:
-            assert type(m) is QCMonomial and min(m) >= 0, m
+            assert type(m) is tuple and len(m) == 4 and min(m) >= 0, m
             assert type(series) is HbarSeries and series.terms, (m, series)
     for m, series in entries:
         for degree, c in series.terms.items():

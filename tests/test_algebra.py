@@ -12,11 +12,11 @@ from qcbracket import (
     HbarSeries,
     NotDivisibleError,
     Observable,
-    QCMonomial,
     divide_by_i_hbar,
     from_scalar,
     generator,
     hbar_zero,
+    monomial_observable,
     partial_k,
     partial_p,
     partial_q,
@@ -115,19 +115,24 @@ def test_series_is_immutable():
 # --- monomials ---------------------------------------------------------------
 
 def test_monomial_degree_and_sectors():
-    m = QCMonomial(1, 2, 3, 4)
-    assert m.degree == 10
-    assert not m.is_classical and not m.is_quantum
-    assert QCMonomial(2, 1, 0, 0).is_classical
-    assert QCMonomial(0, 0, 1, 1).is_quantum
+    mixed = monomial_observable((1, 2, 3, 4))
+    [m] = mixed.terms
+    assert type(m) is tuple and sum(m) == 10
+    assert not mixed.is_classical() and not mixed.is_quantum()
+    assert monomial_observable((2, 1, 0, 0)).is_classical()
+    assert monomial_observable((0, 0, 1, 1)).is_quantum()
     # the constant monomial belongs to both sectors
-    unit = QCMonomial(0, 0, 0, 0)
-    assert unit.is_classical and unit.is_quantum
+    assert ONE.is_classical() and ONE.is_quantum()
 
 
-def test_observable_rejects_negative_exponents():
+@pytest.mark.parametrize("monomial", [(-1, 0, 0, 0), (1,), (1, 0, 0, 0, 0)],
+                         ids=["negative", "short", "long"])
+def test_observable_rejects_negative_exponents(monomial):
+    # A key is exactly four nonnegative exponents; a short one is not padded.
     with pytest.raises(ValueError):
-        Observable({QCMonomial(-1, 0, 0, 0): HbarSeries(1)})
+        Observable({monomial: HbarSeries(1)})
+    with pytest.raises(ValueError):
+        monomial_observable(monomial)
 
 
 # --- generators and linear structure -----------------------------------------
@@ -161,8 +166,11 @@ def test_add_inverse_and_merge():
     assert xq + xq == scale(2, xq)
 
 
-@pytest.mark.parametrize("call", [lambda: X + 1, lambda: X - 1,
-                                  lambda: X * "a", lambda: "a" * X])
+@pytest.mark.parametrize("call", [
+    lambda: X + 1, lambda: X - 1, lambda: X * "a", lambda: "a" * X,
+    lambda: HbarSeries.hbar() + 1, lambda: HbarSeries.hbar() - 1,
+    lambda: GaussianRational(1) + 1, lambda: GaussianRational(1) - 1,
+    lambda: GaussianRational(1) / HbarSeries.hbar()])
 def test_observable_operators_reject_other_types(call):
     with pytest.raises(TypeError):
         call()

@@ -63,8 +63,8 @@ def observables(draw, max_terms=3):
     """Degree <= 3 monomials of one sector; coefficients may be multi-term."""
     sector = draw(st.sampled_from(("all", "classical", "quantum")))
     pool = [m for m in enumerate_monomials(3)
-            if sector == "all" or (m.is_classical if sector == "classical"
-                                   else m.is_quantum)]
+            if sector == "all" or (not (m[2] or m[3]) if sector == "classical"
+                                   else not (m[0] or m[1]))]
     monomials = draw(st.lists(st.sampled_from(pool), max_size=max_terms, unique=True))
     return Observable({m: draw(series()) for m in monomials})
 

@@ -54,7 +54,7 @@ def test_brackets_equal_the_partials_and_products_oracle(a, b):
 def _reordering_terms(t, r):
     """{j: coefficient} of every term of p^t q^r, j = 0 included, by literal swaps."""
     word = oracles.swap_normal_form(t, r)
-    return {r - m.n_q: c for m, c in word.terms.items()}
+    return {r - m[2]: c for m, c in word.terms.items()}
 
 
 def test_word_tables_match_the_swap_oracle():

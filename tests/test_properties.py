@@ -37,9 +37,9 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def observables(draw, max_degree=3, max_terms=3, sector="all"):
     pool = enumerate_monomials(max_degree)
     if sector == "classical":
-        pool = [m for m in pool if m.is_classical]
+        pool = [m for m in pool if not (m[2] or m[3])]
     elif sector == "quantum":
-        pool = [m for m in pool if m.is_quantum]
+        pool = [m for m in pool if not (m[0] or m[1])]
     monomials = draw(st.lists(st.sampled_from(pool), min_size=1,
                               max_size=max_terms, unique=True))
     terms = {}
