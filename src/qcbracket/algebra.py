@@ -14,8 +14,13 @@ joined.  Each join rule is one word table (``_reordered``, ``_symmetrized``,
 ``_commuted``, ``_concatenated``), read by the two term-pair kernels
 ``_product`` and ``_classical_part``.
 
-Values are immutable after construction and every operation is a pure
-function of its inputs, so everything here is safe to share across threads.
+Values are immutable: no attribute of a ``GaussianRational``, ``HbarSeries``
+or ``Observable`` can be set or deleted (``_Frozen``).  ``HbarSeries`` and
+``Observable`` are one immutable term map (``_TermMap``) whose public
+constructor checks every key and coerces every value, so each value has one
+canonical form; results built in this package go through the trusted
+``_make``.  Every operation is a pure function of its inputs, so everything
+here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -33,7 +38,19 @@ class NotDivisibleError(ArithmeticError):
 RationalLike = Union[int, Fraction]
 
 
-class GaussianRational:
+class _Frozen:
+    """Base of the value types: no attribute can be set or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussianRational(_Frozen):
     """A complex number with exact rational real and imaginary parts.
 
     The value (a + b*i)/d is stored as three ints with d > 0 and
@@ -50,12 +67,6 @@ class GaussianRational:
         d = lcm(re.denominator, im.denominator)
         return _gr(re.numerator * (d // re.denominator),
                    im.numerator * (d // im.denominator), d)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GaussianRational is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("GaussianRational is immutable")
 
     def __reduce__(self):
         return (_gr, (self._a, self._b, self._d))
@@ -178,46 +189,83 @@ def _as_gaussian(value: ScalarLike) -> GaussianRational:
     raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
 
-class HbarSeries:
-    """A polynomial in the formal symbol hbar with Gaussian-rational coefficients.
+class _TermMap(_Frozen):
+    """An immutable sparse map ``terms`` from keys to nonzero values.
 
-    ``terms`` maps hbar-degree to a nonzero coefficient; the zero polynomial
-    is the empty map.  hbar is a formal symbol, never a number, which is what
-    lets residuals like ``hbar^2/2`` be represented verbatim.
+    The public constructor checks every key with ``_key`` (ValueError on a
+    bad one), coerces every value with ``_coerce`` (TypeError on a value it
+    cannot take) and drops zero values, so each value has one canonical form
+    and equality is equality of the maps.  ``_make`` is the trusted
+    constructor for maps built in this package.
     """
 
     __slots__ = ("terms",)
+    # Types of a bare argument that stands for the map {0: argument}.
+    _scalars: tuple[type, ...] = ()
 
-    def __init__(self, terms: Mapping[int, GaussianRational] | ScalarLike = ()) -> None:
-        if isinstance(terms, (GaussianRational, int, Fraction)):
-            coeff = _as_gaussian(terms)
-            store = {0: coeff} if coeff else {}
-        else:
-            store = {}
-            for degree, coeff in dict(terms).items():
-                if degree < 0:
-                    raise ValueError(f"negative hbar degree {degree}")
-                if coeff:
-                    store[int(degree)] = coeff
-        object.__setattr__(self, "terms", store)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HbarSeries is immutable")
+    def __init__(self, terms: Mapping | ScalarLike = ()) -> None:
+        if isinstance(terms, self._scalars):
+            terms = {0: terms}
+        store = {}
+        for key, value in dict(terms).items():
+            key = self._key(key)
+            value = self._coerce(value)
+            if value:
+                store[key] = value
+        _set_terms(self, store)
 
     def __reduce__(self):
-        return (_series, (self.terms,))
-
-    @classmethod
-    def hbar(cls, degree: int = 1, coeff: ScalarLike = 1) -> "HbarSeries":
-        return cls({degree: _as_gaussian(coeff)})
+        return (type(self), (self.terms,))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HbarSeries):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.terms == other.terms
+
+    def __neg__(self):
+        return _make(type(self), {k: -v for k, v in self.terms.items()})
+
+    def __repr__(self) -> str:
+        inside = ", ".join(f"{k}: {v!r}" for k, v in sorted(self.terms.items()))
+        return f"{type(self).__name__}({{{inside}}})"
+
+
+_set_terms = _TermMap.terms.__set__
+
+
+def _make(cls: type, terms: dict):
+    """Trusted constructor for a map built in this package with no zero value."""
+    t = _new(cls)
+    _set_terms(t, terms)
+    return t
+
+
+class HbarSeries(_TermMap):
+    """A polynomial in the formal symbol hbar with Gaussian-rational coefficients.
+
+    ``terms`` maps hbar-degree, an int >= 0, to a nonzero coefficient; the
+    zero polynomial is the empty map.  The constructor takes such a map, whose
+    values may be ints or Fractions, or a bare coefficient for the constant
+    series.  hbar is a formal symbol, never a number, which is what lets
+    residuals like ``hbar^2/2`` be represented verbatim.
+    """
+
+    __slots__ = ()
+    _scalars = (GaussianRational, int, Fraction)
+    _coerce = staticmethod(_as_gaussian)
+
+    @staticmethod
+    def _key(degree: int) -> int:
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"hbar degree {degree!r} is not a nonnegative int")
+        return degree
+
+    @classmethod
+    def hbar(cls, degree: int = 1, coeff: ScalarLike = 1) -> "HbarSeries":
+        return cls({degree: coeff})
 
     def __add__(self, other: "HbarSeries") -> "HbarSeries":
         if not isinstance(other, HbarSeries):
@@ -233,22 +281,19 @@ class HbarSeries:
             return NotImplemented
         return self + (-other)
 
-    def __neg__(self) -> "HbarSeries":
-        return _make_series({d: -c for d, c in self.terms.items()})
-
     def __mul__(self, other: "HbarSeries | GaussianRational | RationalLike") -> "HbarSeries":
         # No product of nonzero Gaussian rationals is zero: no zero filter.
         if not isinstance(other, HbarSeries):
             if isinstance(other, (GaussianRational, int, Fraction)):
                 if not other:
                     return _SERIES_ZERO
-                return _make_series({d: c * other for d, c in self.terms.items()})
+                return _make(HbarSeries, {d: c * other for d, c in self.terms.items()})
             # An Observable operand: its __rmul__ scales by this series.
             return NotImplemented
         if len(self.terms) == 1 == len(other.terms):
             [(d1, c1)] = self.terms.items()
             [(d2, c2)] = other.terms.items()
-            return _make_series({d1 + d2: c1 * c2})
+            return _make(HbarSeries, {d1 + d2: c1 * c2})
         out: dict[int, GaussianRational] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
@@ -266,33 +311,19 @@ class HbarSeries:
     def constant_part(self) -> "HbarSeries":
         """The hbar-degree-0 part (the hbar -> 0 limit of the coefficient)."""
         if 0 in self.terms:
-            return _make_series({0: self.terms[0]})
+            return _make(HbarSeries, {0: self.terms[0]})
         return _SERIES_ZERO
 
     def divided_by_i_hbar(self) -> "HbarSeries":
         """Exact division by i*hbar; every degree must be >= 1."""
         if 0 in self.terms:
             raise NotDivisibleError("coefficient has an hbar-free part")
-        return _make_series({d - 1: c.divided_by_i() for d, c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"{d}: {c!r}" for d, c in sorted(self.terms.items()))
-        return f"HbarSeries({{{inside}}})"
-
-
-_set_series_terms = HbarSeries.terms.__set__
-
-
-def _make_series(terms: dict[int, GaussianRational]) -> HbarSeries:
-    """Trusted constructor for a dict built in this package with no zero coefficient."""
-    s = _new(HbarSeries)
-    _set_series_terms(s, terms)
-    return s
+        return _make(HbarSeries, {d - 1: c.divided_by_i() for d, c in self.terms.items()})
 
 
 def _series(terms: dict[int, GaussianRational]) -> HbarSeries:
     """Trusted constructor for a dict built in this package; drops zeros only."""
-    return _make_series({d: c for d, c in terms.items() if c._a or c._b})
+    return _make(HbarSeries, {d: c for d, c in terms.items() if c._a or c._b})
 
 
 _SERIES_ZERO = HbarSeries()
@@ -303,7 +334,7 @@ _SCALARS = (HbarSeries, GaussianRational, int, Fraction)
 def _as_series(value: ScalarLike) -> HbarSeries:
     if isinstance(value, HbarSeries):
         return value
-    return HbarSeries(value)
+    return HbarSeries({0: value})
 
 
 # (n_x, n_k, n_q, n_p), the exponents of the word x^n_x k^n_k q^n_q p^n_p; its
@@ -314,40 +345,25 @@ Monomial = tuple[int, int, int, int]
 _UNIT_MONOMIAL = (0, 0, 0, 0)
 
 
-class Observable:
+class Observable(_TermMap):
     """A finite sum of normal-ordered monomials with HbarSeries coefficients.
 
-    ``terms`` maps each monomial, the plain tuple ``(n_x, n_k, n_q, n_p)``, to
-    its coefficient.  The representation is canonical: no stored coefficient
+    ``terms`` maps each monomial, the plain tuple ``(n_x, n_k, n_q, n_p)`` of
+    int exponents >= 0, to its coefficient; the constructor also takes scalar
+    coefficients.  The representation is canonical: no stored coefficient
     is zero, and two observables are equal exactly when their term maps are
     equal.  The empty map is the unique zero.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _coerce = staticmethod(_as_series)
 
-    def __init__(self, terms: Mapping[Monomial, HbarSeries] = ()) -> None:
-        store: dict[Monomial, HbarSeries] = {}
-        for monomial, series in dict(terms).items():
-            monomial = tuple(monomial)
-            if len(monomial) != 4 or any(e < 0 for e in monomial):
-                raise ValueError(f"monomial {monomial} is not four nonnegative exponents")
-            if series:
-                store[monomial] = series
-        object.__setattr__(self, "terms", store)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Observable is immutable")
-
-    def __reduce__(self):
-        return (_observable, (self.terms,))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Observable):
-            return NotImplemented
-        return self.terms == other.terms
+    @staticmethod
+    def _key(monomial: Monomial) -> Monomial:
+        monomial = tuple(monomial)
+        if len(monomial) != 4 or any(type(e) is not int or e < 0 for e in monomial):
+            raise ValueError(f"monomial {monomial} is not four nonnegative int exponents")
+        return monomial
 
     def __add__(self, other: "Observable") -> "Observable":
         if not isinstance(other, Observable):
@@ -372,9 +388,6 @@ class Observable:
             prev = merged.get(monomial)
             merged[monomial] = -series if prev is None else prev - series
         return _observable(merged)
-
-    def __neg__(self) -> "Observable":
-        return _make_observable({m: -s for m, s in self.terms.items()})
 
     def __mul__(self, other: "Observable | ScalarLike") -> "Observable":
         if isinstance(other, Observable):
@@ -418,27 +431,11 @@ class Observable:
         """No classical content: every monomial has n_x = n_k = 0."""
         return not any(m[0] or m[1] for m in self.terms)
 
-    def __repr__(self) -> str:
-        inside = ", ".join(
-            f"{m}: {s!r}" for m, s in sorted(self.terms.items())
-        )
-        return f"Observable({{{inside}}})"
-
-
-_set_observable_terms = Observable.terms.__set__
-
-
-def _make_observable(terms: dict[Monomial, HbarSeries]) -> Observable:
-    """Trusted constructor for a dict built in this package with no zero series."""
-    a = _new(Observable)
-    _set_observable_terms(a, terms)
-    return a
-
 
 def _observable(terms: dict[Monomial, HbarSeries]) -> Observable:
     """Trusted constructor for a dict built in this package; drops zeros, ZERO if all go."""
     kept = {m: s for m, s in terms.items() if s.terms}
-    return _make_observable(kept) if kept else ZERO
+    return _make(Observable, kept) if kept else ZERO
 
 
 ZERO = Observable()
@@ -478,7 +475,7 @@ def scale(coeff: ScalarLike, a: Observable) -> Observable:
     if not series:
         return ZERO
     # hbar-polynomials over a field have no zero divisors.
-    return _make_observable({m: series * s for m, s in a.terms.items()})
+    return _make(Observable, {m: series * s for m, s in a.terms.items()})
 
 
 def reorder(t: int, r: int) -> Observable:
@@ -493,8 +490,7 @@ def reorder(t: int, r: int) -> Observable:
     """
     if t < 0 or r < 0:
         raise ValueError("exponents must be nonnegative")
-    return _make_observable(
-        {(0, 0, r - j, t - j): w for j, w in _reorder_terms(t, r)})
+    return _make(Observable, {(0, 0, r - j, t - j): w for j, w in _reorder_terms(t, r)})
 
 
 # Bounds every word table's cache; large powers flood those keyed on term pairs.
@@ -506,7 +502,7 @@ _CONCATENATION = ((0, _SERIES_ONE),)
 def _reorder_terms(t: int, r: int) -> tuple[tuple[int, HbarSeries], ...]:
     """The terms (j, j! C(t,j) C(r,j) (-i*hbar)^j) of p^t q^r, j ascending from 0."""
     return tuple(
-        (j, _make_series({j: _NEG_I_POW[j % 4] * (factorial(j) * comb(t, j) * comb(r, j))}))
+        (j, _make(HbarSeries, {j: _NEG_I_POW[j % 4] * (factorial(j) * comb(t, j) * comb(r, j))}))
         for j in range(min(t, r) + 1))
 
 
@@ -636,7 +632,7 @@ def divide_by_i_hbar(a: Observable) -> Observable:
     if not a.terms:
         return a
     try:
-        return _make_observable({m: c.divided_by_i_hbar() for m, c in a.terms.items()})
+        return _make(Observable, {m: c.divided_by_i_hbar() for m, c in a.terms.items()})
     except NotDivisibleError as exc:
         raise NotDivisibleError(f"observable is not divisible by i*hbar: {exc}") from None
 

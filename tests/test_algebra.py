@@ -13,10 +13,12 @@ from qcbracket import (
     NotDivisibleError,
     Observable,
     divide_by_i_hbar,
+    format_observable,
     from_scalar,
     generator,
     hbar_zero,
     monomial_observable,
+    parse,
     partial_k,
     partial_p,
     partial_q,
@@ -70,8 +72,19 @@ def test_series_prunes_zero_coefficients():
 
 
 def test_series_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        HbarSeries({-1: GaussianRational(1)})
+    # A degree is a nonnegative int: 1.5 is not truncated, True is not 1.
+    for degree in (-1, 1.5, True):
+        with pytest.raises(ValueError):
+            HbarSeries({degree: GaussianRational(1)})
+
+
+def test_series_coerces_scalar_values():
+    assert HbarSeries({0: 2}) == HbarSeries(2)
+    assert HbarSeries({1: Fraction(1, 2), 2: 0}) == HbarSeries.hbar(1, Fraction(1, 2))
+    assert HbarSeries({0: 2}).terms == {0: GaussianRational(2)}
+    for value in ("a", HbarSeries(1), 0.5):
+        with pytest.raises(TypeError):
+            HbarSeries({0: value})
 
 
 def test_series_ring_operations():
@@ -110,6 +123,12 @@ def test_series_is_immutable():
     s = HbarSeries(1)
     with pytest.raises(AttributeError):
         s.terms = {}
+    with pytest.raises(AttributeError):
+        del s.terms
+    with pytest.raises(AttributeError):
+        del generator("x").terms[(1, 0, 0, 0)].terms
+    assert s == HbarSeries(1)
+    assert format_observable(parse("x")) == "x"
 
 
 # --- monomials ---------------------------------------------------------------
@@ -125,10 +144,12 @@ def test_monomial_degree_and_sectors():
     assert ONE.is_classical() and ONE.is_quantum()
 
 
-@pytest.mark.parametrize("monomial", [(-1, 0, 0, 0), (1,), (1, 0, 0, 0, 0)],
-                         ids=["negative", "short", "long"])
+@pytest.mark.parametrize("monomial", [(-1, 0, 0, 0), (1,), (1, 0, 0, 0, 0),
+                                      (0.5, 0, 0, 0), (True, 0, 0, 0)],
+                         ids=["negative", "short", "long", "float", "bool"])
 def test_observable_rejects_negative_exponents(monomial):
-    # A key is exactly four nonnegative exponents; a short one is not padded.
+    # A key is exactly four nonnegative int exponents; a short one is not
+    # padded, and neither a float nor a bool is an exponent.
     with pytest.raises(ValueError):
         Observable({monomial: HbarSeries(1)})
     with pytest.raises(ValueError):
@@ -367,6 +388,32 @@ def test_observables_pickle():
 def test_observable_is_immutable():
     with pytest.raises(AttributeError):
         Q.terms = {}
+    with pytest.raises(AttributeError):
+        del parse("x").terms
+    assert format_observable(parse("x")) == "x"
+
+
+def test_observable_coerces_scalar_values():
+    assert Observable({(1, 0, 0, 0): 5}) == parse("5*x")
+    assert Observable({(0, 0, 1, 0): Fraction(1, 2), (0, 0, 0, 1): 0}) == parse("(1/2)*q")
+    assert Observable({(0, 0, 0, 0): GaussianRational(0, 1)}) == I
+    for value in ("a", X, 0.5):
+        with pytest.raises(TypeError):
+            Observable({(1, 0, 0, 0): value})
+
+
+# pickle.dumps(parse("x*q - (1/2)*i*hbar*p")) as the trusted-constructor
+# format wrote it: it names _observable, _series and _gr.
+_OLD_PICKLE = (
+    b"\x80\x04\x95\x88\x00\x00\x00\x00\x00\x00\x00\x8c\x11qcbracket.algebra"
+    b"\x94\x8c\x0b_observable\x94\x93\x94}\x94((K\x01K\x00K\x01K\x00t\x94h\x00"
+    b"\x8c\x07_series\x94\x93\x94}\x94K\x00h\x00\x8c\x03_gr\x94\x93\x94K\x01K\x00"
+    b"K\x01\x87\x94R\x94s\x85\x94R\x94(K\x00K\x00K\x00K\x01t\x94h\x06}\x94K\x01h\t"
+    b"K\x00J\xff\xff\xff\xffK\x02\x87\x94R\x94s\x85\x94R\x94u\x85\x94R\x94.")
+
+
+def test_old_pickles_still_load():
+    assert pickle.loads(_OLD_PICKLE) == parse("x*q - (1/2)*i*hbar*p")
 
 
 def test_from_scalar():
