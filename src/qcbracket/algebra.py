@@ -25,10 +25,11 @@ here is safe to share across threads.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Mapping, Union
+from typing import Union
 
 
 class NotDivisibleError(ArithmeticError):
@@ -192,27 +193,32 @@ def _as_gaussian(value: ScalarLike) -> GaussianRational:
 class _TermMap(_Frozen):
     """An immutable sparse map ``terms`` from keys to nonzero values.
 
-    The public constructor checks every key with ``_key`` (ValueError on a
-    bad one), coerces every value with ``_coerce`` (TypeError on a value it
-    cannot take) and drops zero values, so each value has one canonical form
-    and equality is equality of the maps.  ``_make`` is the trusted
-    constructor for maps built in this package.
+    The public constructor is ``__new__``, so no ``__init__`` can rebind a
+    live value.  It takes a mapping or a bare ``_scalars`` value (TypeError on
+    anything else), checks every key with ``_key`` (ValueError on a bad one),
+    coerces every value with ``_coerce`` (TypeError on a value it cannot take)
+    and drops zero values, so each value has one canonical form and equality
+    is equality of the maps.  ``_make`` is the package's trusted constructor.
     """
 
     __slots__ = ("terms",)
     # Types of a bare argument that stands for the map {0: argument}.
     _scalars: tuple[type, ...] = ()
 
-    def __init__(self, terms: Mapping | ScalarLike = ()) -> None:
-        if isinstance(terms, self._scalars):
+    def __new__(cls, terms: Mapping | ScalarLike | None = None):
+        if terms is None:
+            terms = {}
+        elif isinstance(terms, cls._scalars):
             terms = {0: terms}
+        elif not isinstance(terms, Mapping):
+            raise TypeError(f"{cls.__name__} takes a mapping or a scalar, not {terms!r}")
         store = {}
-        for key, value in dict(terms).items():
-            key = self._key(key)
-            value = self._coerce(value)
+        for key, value in terms.items():
+            key = cls._key(key)
+            value = cls._coerce(value)
             if value:
                 store[key] = value
-        _set_terms(self, store)
+        return _make(cls, store)
 
     def __reduce__(self):
         return (type(self), (self.terms,))

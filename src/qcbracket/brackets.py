@@ -22,14 +22,21 @@ defines brackets and residuals; the tables and kernels live in ``algebra``.
 Residual functionals (Jacobi, Leibniz, the sector-factorization axioms, the
 classical limit) return the full residual observable so that violation
 magnitudes are inspectable exactly, not just as booleans.
+
+During ``explorer._scan_range`` the dispatch remembers each bracket of two
+coefficient-1 monomials under ``(kind, m1, m2)`` in a pair table that lives
+in one context (``_PAIR_TABLE``), ends with the range and starts over at
+``_PAIR_TABLE_SIZE`` entries; a miss, or any call outside a scan, computes.
 """
 
 from __future__ import annotations
 
 import enum
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .algebra import (
+    _SERIES_ONE,
     Observable,
     _classical_part,
     _commuted,
@@ -124,12 +131,35 @@ def normal_bracket(a: Observable, b: Observable) -> Observable:
     return quantum_bracket(a, b) + normal_bracket_classical(a, b)
 
 
-_DISPATCH = {
-    BracketKind.POISSON: ordered_poisson,
-    BracketKind.COMMUTATOR: quantum_bracket,
-    BracketKind.ALEKSANDROV: aleksandrov_bracket,
-    BracketKind.NORMAL_ORDER: normal_bracket,
-}
+# None outside a scan; 2^14 entries fit the 15,876 pairs of a degree-5 scan.
+_PAIR_TABLE: ContextVar[dict | None] = ContextVar("pair_table", default=None)
+_PAIR_TABLE_SIZE = 2**14
+_UNIT_COEFFICIENTS = [_SERIES_ONE]
+
+
+def _tabled(kind: BracketKind, fn):
+    """``fn`` behind the live pair table, for two coefficient-1 monomials."""
+    def tabled(a: Observable, b: Observable) -> Observable:
+        table = _PAIR_TABLE.get()
+        if (table is None or list(a.terms.values()) != _UNIT_COEFFICIENTS
+                or list(b.terms.values()) != _UNIT_COEFFICIENTS):
+            return fn(a, b)
+        key = (kind, *a.terms, *b.terms)
+        value = table.get(key)
+        if value is None:
+            if len(table) >= _PAIR_TABLE_SIZE:
+                table.clear()
+            value = table[key] = fn(a, b)
+        return value
+    return tabled
+
+
+_DISPATCH = {kind: _tabled(kind, fn) for kind, fn in (
+    (BracketKind.POISSON, ordered_poisson),
+    (BracketKind.COMMUTATOR, quantum_bracket),
+    (BracketKind.ALEKSANDROV, aleksandrov_bracket),
+    (BracketKind.NORMAL_ORDER, normal_bracket),
+)}
 
 
 def bracket(kind: BracketKind, a: Observable, b: Observable) -> Observable:

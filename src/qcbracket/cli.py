@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .algebra import Observable, monomial_observable
@@ -110,7 +111,9 @@ def _add_kind(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", choices=_KIND_NAMES, required=True)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it found it.
     parser = argparse.ArgumentParser(
         prog="qcbracket",
         description="Exact brackets on mixed quantum-classical observables.")

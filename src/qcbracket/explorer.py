@@ -27,6 +27,7 @@ from .algebra import (
     monomial_observable,
 )
 from .brackets import (
+    _PAIR_TABLE,
     BracketKind,
     ResidualReport,
     axiom_residuals,
@@ -154,10 +155,14 @@ def _scan_range(config: ScanConfig, lo: int, hi: int) -> list[ViolationRecord]:
     monos = _sector_monomials(config.max_degree, config.sector)
     observables = [monomial_observable(m) for m in monos]
     out = []
-    for idx in islice(_index_triples(config, len(monos)), lo, hi):
-        hit = _evaluate(config, monos, observables, idx)
-        if hit is not None:
-            out.append(hit)
+    token = _PAIR_TABLE.set({})
+    try:
+        for idx in islice(_index_triples(config, len(monos)), lo, hi):
+            hit = _evaluate(config, monos, observables, idx)
+            if hit is not None:
+                out.append(hit)
+    finally:
+        _PAIR_TABLE.reset(token)
     return out
 
 

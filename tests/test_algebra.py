@@ -85,6 +85,12 @@ def test_series_coerces_scalar_values():
     for value in ("a", HbarSeries(1), 0.5):
         with pytest.raises(TypeError):
             HbarSeries({0: value})
+    # A bare argument is a scalar or a mapping.
+    for bare in ("a", [(0, 1)], 0.5):
+        with pytest.raises(TypeError):
+            HbarSeries(bare)
+        with pytest.raises(TypeError):
+            Observable(bare)
 
 
 def test_series_ring_operations():
@@ -391,6 +397,13 @@ def test_observable_is_immutable():
     with pytest.raises(AttributeError):
         del parse("x").terms
     assert format_observable(parse("x")) == "x"
+
+
+def test_values_cannot_be_initialized_again():
+    generator("x").__init__({})
+    HbarSeries.__init__(generator("x").terms[(1, 0, 0, 0)], {})
+    assert format_observable(parse("x")) == "x"
+    assert generator("x").terms == {(1, 0, 0, 0): HbarSeries(1)}
 
 
 def test_observable_coerces_scalar_values():

@@ -398,6 +398,24 @@ def test_python_dash_m_runs_the_cli(module):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x*q\n", "")
 
 
+def test_one_process_runs_commands_as_fresh_processes_do():
+    # The parser is built once per process; a usage error must leave it as
+    # a fresh one for the next command.
+    commands = (["bracket", "--kind", "weyl", "x", "k"],
+                ["bracket", "--kind", "normal", "x*q", "k*p"])
+    fresh = [_python("-m", "qcbracket", *argv) for argv in commands]
+    script = ("import sys\nfrom qcbracket.cli import run\n"
+              f"for argv in {commands!r}:\n"
+              "    code = run(argv)\n"
+              "    print(f'exit {code}'); print('---', file=sys.stderr)\n")
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert [proc.stdout, proc.stderr] == [
+        "".join(f"{one.stdout}exit {one.returncode}\n" for one in fresh),
+        "".join(f"{one.stderr}---\n" for one in fresh)]
+    assert [one.returncode for one in fresh] == [2, 0]
+
+
 def test_importing_the_library_loads_no_cli_or_pool():
     proc = _python("-c", "import sys, qcbracket; print(sorted(set(sys.modules) & {"
                    "'argparse', 'multiprocessing', 'concurrent.futures',"

@@ -6,6 +6,8 @@ brackets from partial derivatives and both full operator products, and the
 product from the standard-ordered star product on symbols.
 """
 
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +26,7 @@ from qcbracket import (
     random_observable,
     scan,
 )
-from qcbracket import algebra, brackets
+from qcbracket import algebra, brackets, explorer
 from qcbracket.explorer import SECTORS
 import oracles
 from oracles import build
@@ -75,24 +77,118 @@ def test_word_tables_match_the_swap_oracle():
             assert all(j for j, _ in commuted)
 
 
+# The bracket functions with no pair table in front of them.
+_ORACLES = {
+    BracketKind.POISSON: oracles.ordered_poisson,
+    BracketKind.COMMUTATOR: oracles.quantum_bracket,
+    BracketKind.ALEKSANDROV: oracles.aleksandrov_bracket,
+    BracketKind.NORMAL_ORDER: oracles.normal_bracket,
+}
+
+
+def _oracle_scan(monkeypatch, config):
+    with monkeypatch.context() as patch:
+        for kind, fn in _ORACLES.items():
+            patch.setitem(brackets._DISPATCH, kind, fn)
+        return scan(config, jobs=1)
+
+
+def _assert_scans_equal_the_oracle_scan(monkeypatch, config):
+    serial = scan(config, jobs=1)
+    parallel = scan(config, jobs=2)
+    expected = _oracle_scan(monkeypatch, config)
+    assert serial == expected
+    assert parallel == expected
+
+
 @pytest.mark.parametrize("kind", [BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER,
-                                  BracketKind.COMMUTATOR])
+                                  BracketKind.COMMUTATOR, BracketKind.POISSON])
 @pytest.mark.parametrize("identity", ["jacobi", "leibniz"])
 def test_scan_records_equal_the_oracle_scan(monkeypatch, kind, identity):
     # include_zero lists every triple, so every residual is compared.
-    config = ScanConfig(kind=kind, identity=identity, max_degree=2,
+    for sector in SECTORS:
+        config = ScanConfig(kind=kind, identity=identity, max_degree=2,
+                            sector=sector, include_zero=True)
+        _assert_scans_equal_the_oracle_scan(monkeypatch, config)
+
+
+@pytest.mark.parametrize("kind", [BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER])
+def test_degree_3_jacobi_scans_equal_the_oracle_scan(monkeypatch, kind):
+    config = ScanConfig(kind=kind, identity="jacobi", max_degree=3,
                         include_zero=True)
-    serial = scan(config, jobs=1)
-    parallel = scan(config, jobs=2)
-    monkeypatch.setitem(brackets._DISPATCH, BracketKind.COMMUTATOR,
-                        oracles.quantum_bracket)
-    monkeypatch.setitem(brackets._DISPATCH, BracketKind.ALEKSANDROV,
-                        oracles.aleksandrov_bracket)
-    monkeypatch.setitem(brackets._DISPATCH, BracketKind.NORMAL_ORDER,
-                        oracles.normal_bracket)
-    expected = scan(config, jobs=1)
-    assert serial == expected
-    assert parallel == expected
+    _assert_scans_equal_the_oracle_scan(monkeypatch, config)
+
+
+def test_a_pair_table_that_starts_over_gives_the_oracle_scan(monkeypatch):
+    config = ScanConfig(kind=BracketKind.NORMAL_ORDER, identity="leibniz",
+                        max_degree=2, include_zero=True)
+    expected = _oracle_scan(monkeypatch, config)
+    monkeypatch.setattr(brackets, "_PAIR_TABLE_SIZE", 2)
+    sizes = []
+    evaluate = explorer._evaluate
+
+    def evaluate_and_measure(*args):
+        record = evaluate(*args)
+        sizes.append(len(brackets._PAIR_TABLE.get()))
+        return record
+
+    monkeypatch.setattr(explorer, "_evaluate", evaluate_and_measure)
+    assert scan(config, jobs=1) == expected
+    assert max(sizes) == 2
+
+
+def test_no_pair_table_is_live_outside_a_scan(monkeypatch):
+    config = ScanConfig(kind=BracketKind.COMMUTATOR, max_degree=1)
+    assert brackets._PAIR_TABLE.get() is None
+    scan(config)
+    assert brackets._PAIR_TABLE.get() is None
+    seen = []
+
+    def failing_product(a, b, word=algebra._reordered):
+        seen.append(brackets._PAIR_TABLE.get())
+        raise ZeroDivisionError("kernel failed")
+
+    monkeypatch.setattr(brackets, "_product", failing_product)
+    with pytest.raises(ZeroDivisionError):
+        scan(config)
+    assert seen == [{}]
+    assert brackets._PAIR_TABLE.get() is None
+
+
+def test_scans_in_threads_each_have_their_own_table(monkeypatch):
+    # More threads than cores, switching often: a table shared between two
+    # scans would show as one table seen from two threads.
+    configs = [ScanConfig(kind=kind, identity="leibniz", max_degree=1,
+                          include_zero=True) for kind in BracketKind] * 2
+    expected = [scan(config) for config in configs]
+    tables = {}
+    evaluate = explorer._evaluate
+
+    def evaluate_and_note(*args):
+        table = brackets._PAIR_TABLE.get()
+        tables.setdefault(id(table), (table, set()))[1].add(threading.get_ident())
+        return evaluate(*args)
+
+    monkeypatch.setattr(explorer, "_evaluate", evaluate_and_note)
+    results = [None] * len(configs)
+
+    def run(i):
+        results[i] = scan(configs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    assert len(tables) == len(configs)
+    assert all(len(idents) == 1 for _, idents in tables.values())
 
 
 # --- the operator product ----------------------------------------------------------
