@@ -29,6 +29,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
+from types import MappingProxyType
 from typing import Union
 
 
@@ -205,10 +206,8 @@ class _TermMap(_Frozen):
     # Types of a bare argument that stands for the map {0: argument}.
     _scalars: tuple[type, ...] = ()
 
-    def __new__(cls, terms: Mapping | ScalarLike | None = None):
-        if terms is None:
-            terms = {}
-        elif isinstance(terms, cls._scalars):
+    def __new__(cls, terms: Mapping | ScalarLike = MappingProxyType({})):
+        if isinstance(terms, cls._scalars):
             terms = {0: terms}
         elif not isinstance(terms, Mapping):
             raise TypeError(f"{cls.__name__} takes a mapping or a scalar, not {terms!r}")

@@ -23,17 +23,19 @@ Residual functionals (Jacobi, Leibniz, the sector-factorization axioms, the
 classical limit) return the full residual observable so that violation
 magnitudes are inspectable exactly, not just as booleans.
 
-During ``explorer._scan_range`` the dispatch remembers each bracket of two
-coefficient-1 monomials under ``(kind, m1, m2)`` in a pair table that lives
-in one context (``_PAIR_TABLE``), ends with the range and starts over at
-``_PAIR_TABLE_SIZE`` entries; a miss, or any call outside a scan, computes.
+Inside ``_pair_table``, which ``explorer._scan_range`` enters, the dispatch
+remembers the bracket of each ordered pair of the N scanned monomials, at most
+N^2 values, in a table that lives in one context and ends with the scan range.
+Any other pair, or any call outside a scan, computes.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import (
     _SERIES_ONE,
@@ -131,25 +133,36 @@ def normal_bracket(a: Observable, b: Observable) -> Observable:
     return quantum_bracket(a, b) + normal_bracket_classical(a, b)
 
 
-# None outside a scan; 2^14 entries fit the 15,876 pairs of a degree-5 scan.
+# None outside ``_pair_table``.  Inside, a dict with a key (kind, m1, m2) for
+# each ordered pair of scanned monomials, whose value stays None until computed.
 _PAIR_TABLE: ContextVar[dict | None] = ContextVar("pair_table", default=None)
-_PAIR_TABLE_SIZE = 2**14
 _UNIT_COEFFICIENTS = [_SERIES_ONE]
+_NOT_SCANNED = object()
+
+
+@contextmanager
+def _pair_table(kind: BracketKind, monos):
+    """Remember ``kind`` brackets of each pair of ``monos`` in this context."""
+    token = _PAIR_TABLE.set(dict.fromkeys(product((kind,), monos, monos)))
+    try:
+        yield
+    finally:
+        _PAIR_TABLE.reset(token)
 
 
 def _tabled(kind: BracketKind, fn):
-    """``fn`` behind the live pair table, for two coefficient-1 monomials."""
+    """``fn`` behind the live pair table, for two scanned monomials."""
     def tabled(a: Observable, b: Observable) -> Observable:
         table = _PAIR_TABLE.get()
         if (table is None or list(a.terms.values()) != _UNIT_COEFFICIENTS
                 or list(b.terms.values()) != _UNIT_COEFFICIENTS):
             return fn(a, b)
         key = (kind, *a.terms, *b.terms)
-        value = table.get(key)
+        value = table.get(key, _NOT_SCANNED)
         if value is None:
-            if len(table) >= _PAIR_TABLE_SIZE:
-                table.clear()
             value = table[key] = fn(a, b)
+        elif value is _NOT_SCANNED:
+            value = fn(a, b)
         return value
     return tabled
 

@@ -27,7 +27,7 @@ from .algebra import (
     monomial_observable,
 )
 from .brackets import (
-    _PAIR_TABLE,
+    _pair_table,
     BracketKind,
     ResidualReport,
     axiom_residuals,
@@ -155,14 +155,11 @@ def _scan_range(config: ScanConfig, lo: int, hi: int) -> list[ViolationRecord]:
     monos = _sector_monomials(config.max_degree, config.sector)
     observables = [monomial_observable(m) for m in monos]
     out = []
-    token = _PAIR_TABLE.set({})
-    try:
+    with _pair_table(config.kind, monos):
         for idx in islice(_index_triples(config, len(monos)), lo, hi):
             hit = _evaluate(config, monos, observables, idx)
             if hit is not None:
                 out.append(hit)
-    finally:
-        _PAIR_TABLE.reset(token)
     return out
 
 

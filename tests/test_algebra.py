@@ -86,7 +86,7 @@ def test_series_coerces_scalar_values():
         with pytest.raises(TypeError):
             HbarSeries({0: value})
     # A bare argument is a scalar or a mapping.
-    for bare in ("a", [(0, 1)], 0.5):
+    for bare in ("a", [(0, 1)], 0.5, None):
         with pytest.raises(TypeError):
             HbarSeries(bare)
         with pytest.raises(TypeError):

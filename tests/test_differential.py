@@ -119,22 +119,26 @@ def test_degree_3_jacobi_scans_equal_the_oracle_scan(monkeypatch, kind):
     _assert_scans_equal_the_oracle_scan(monkeypatch, config)
 
 
-def test_a_pair_table_that_starts_over_gives_the_oracle_scan(monkeypatch):
+def test_the_pair_table_holds_only_pairs_of_scanned_monomials(monkeypatch):
+    # Leibniz brackets a*b, a monomial of up to twice the scanned degree,
+    # with c: those pairs are computed each time, never stored.
     config = ScanConfig(kind=BracketKind.NORMAL_ORDER, identity="leibniz",
                         max_degree=2, include_zero=True)
     expected = _oracle_scan(monkeypatch, config)
-    monkeypatch.setattr(brackets, "_PAIR_TABLE_SIZE", 2)
-    sizes = []
+    monos = explorer._sector_monomials(config.max_degree, config.sector)
+    tables = []
     evaluate = explorer._evaluate
 
-    def evaluate_and_measure(*args):
-        record = evaluate(*args)
-        sizes.append(len(brackets._PAIR_TABLE.get()))
-        return record
+    def evaluate_and_keep(*args):
+        tables.append(brackets._PAIR_TABLE.get())
+        return evaluate(*args)
 
-    monkeypatch.setattr(explorer, "_evaluate", evaluate_and_measure)
+    monkeypatch.setattr(explorer, "_evaluate", evaluate_and_keep)
     assert scan(config, jobs=1) == expected
-    assert max(sizes) == 2
+    table = tables[-1]
+    assert all(t is table for t in tables)
+    assert list(table) == list(product([config.kind], monos, monos))
+    assert all(value is not None for value in table.values())
 
 
 def test_no_pair_table_is_live_outside_a_scan(monkeypatch):
@@ -151,7 +155,7 @@ def test_no_pair_table_is_live_outside_a_scan(monkeypatch):
     monkeypatch.setattr(brackets, "_product", failing_product)
     with pytest.raises(ZeroDivisionError):
         scan(config)
-    assert seen == [{}]
+    assert len(seen) == 1 and not any(seen[0].values())
     assert brackets._PAIR_TABLE.get() is None
 
 
