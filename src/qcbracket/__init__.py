@@ -20,10 +20,6 @@ from .algebra import (
     generator,
     hbar_zero,
     monomial_observable,
-    partial_k,
-    partial_p,
-    partial_q,
-    partial_x,
     reorder,
     scale,
     symbol_poisson,
@@ -70,10 +66,6 @@ __all__ = [
     "from_scalar",
     "scale",
     "reorder",
-    "partial_x",
-    "partial_k",
-    "partial_q",
-    "partial_p",
     "divide_by_i_hbar",
     "hbar_zero",
     "symbol_poisson",

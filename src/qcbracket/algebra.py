@@ -595,6 +595,7 @@ def _classical_part(a: Observable, b: Observable, word) -> Observable:
 
 
 def _partial(a: Observable, axis: int) -> Observable:
+    """Formal derivative along exponent ``axis`` (x, k, q, p = 0..3)."""
     out: dict[Monomial, HbarSeries] = {}
     for m, c in a.terms.items():
         e = m[axis]
@@ -605,26 +606,6 @@ def _partial(a: Observable, axis: int) -> Observable:
         prev = out.get(lowered)
         out[lowered] = term if prev is None else prev + term
     return _observable(out)
-
-
-def partial_x(a: Observable) -> Observable:
-    """Formal derivative in x; quantum factors and hbar ride along."""
-    return _partial(a, 0)
-
-
-def partial_k(a: Observable) -> Observable:
-    """Formal derivative in k; quantum factors and hbar ride along."""
-    return _partial(a, 1)
-
-
-def partial_q(a: Observable) -> Observable:
-    """Formal derivative in the q exponent (symbol-level, used at hbar = 0)."""
-    return _partial(a, 2)
-
-
-def partial_p(a: Observable) -> Observable:
-    """Formal derivative in the p exponent (symbol-level, used at hbar = 0)."""
-    return _partial(a, 3)
 
 
 def divide_by_i_hbar(a: Observable) -> Observable:
@@ -657,10 +638,10 @@ def symbol_poisson(a: Observable, b: Observable) -> Observable:
     if not a.is_hbar_free() or not b.is_hbar_free():
         raise ValueError("symbol_poisson requires hbar-free inputs")
     return (
-        _product(partial_x(a), partial_k(b), _concatenated)
-        - _product(partial_k(a), partial_x(b), _concatenated)
-        + _product(partial_q(a), partial_p(b), _concatenated)
-        - _product(partial_p(a), partial_q(b), _concatenated)
+        _product(_partial(a, 0), _partial(b, 1), _concatenated)
+        - _product(_partial(a, 1), _partial(b, 0), _concatenated)
+        + _product(_partial(a, 2), _partial(b, 3), _concatenated)
+        - _product(_partial(a, 3), _partial(b, 2), _concatenated)
     )
 
 

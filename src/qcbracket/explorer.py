@@ -56,10 +56,14 @@ class ScanConfig:
     include_zero: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, BracketKind):
+            raise ValueError(f"kind must be a BracketKind, not {self.kind!r}")
         if self.identity not in IDENTITIES:
             raise ValueError(f"unknown identity {self.identity!r}")
         if self.sector not in SECTORS:
             raise ValueError(f"unknown sector {self.sector!r}")
+        if type(self.max_degree) is not int:
+            raise ValueError(f"max_degree must be an int, not {self.max_degree!r}")
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
 
@@ -70,7 +74,11 @@ class ViolationRecord:
 
     triple: tuple[Monomial, Monomial, Monomial]
     residual: Observable
-    residual_min_hbar_degree: int
+
+    @property
+    def residual_min_hbar_degree(self) -> int:
+        """The residual's lowest power of hbar; 0 for a zero residual."""
+        return self.residual.min_hbar_degree() or 0
 
 
 def enumerate_monomials(max_degree: int) -> list[Monomial]:
@@ -138,15 +146,12 @@ def _evaluate(config: ScanConfig, monos: Sequence[Monomial],
     if not residual:
         if not config.include_zero:
             return None
-        min_deg = 0
-    else:
-        min_deg = residual.min_hbar_degree()
-        if min_deg is None or min_deg < 1:
-            # The classical limit guarantees violations are O(hbar); anything
-            # else means the algebra itself is broken.
-            raise RuntimeError(
-                f"residual for {idx} has hbar-free content; internal failure")
-    return ViolationRecord(tuple(monos[i] for i in idx), residual, min_deg)
+    elif not residual.min_hbar_degree():
+        # The classical limit guarantees violations are O(hbar); anything
+        # else means the algebra itself is broken.
+        raise RuntimeError(
+            f"residual for {idx} has hbar-free content; internal failure")
+    return ViolationRecord(tuple(monos[i] for i in idx), residual)
 
 
 def _scan_range(config: ScanConfig, lo: int, hi: int) -> list[ViolationRecord]:
@@ -215,6 +220,8 @@ def _random_from(rng: random.Random, max_degree: int, max_terms: int,
                  sector: str) -> Observable:
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     pool = _sector_monomials(max_degree, sector)
     count = min(rng.randint(1, max_terms), len(pool))
     monos = rng.sample(pool, count)

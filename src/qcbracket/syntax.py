@@ -78,9 +78,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch == "ℏ":
             tokens.append(_Token("name", "hbar", pos))
             i += 1
-        elif ch.isdigit():
+        elif ch in "0123456789":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":
                 j += 1
             tokens.append(_Token("int", text[i:j], pos))
             i = j

@@ -25,8 +25,6 @@ from qcbracket import (
     NotDivisibleError,
     Observable,
     divide_by_i_hbar,
-    partial_k,
-    partial_x,
 )
 
 MINUS_I_HBAR = HbarSeries({1: GaussianRational(0, -1)})
@@ -153,7 +151,7 @@ def quantum_bracket(a: Observable, b: Observable) -> Observable:
 
 def ordered_poisson(a: Observable, b: Observable) -> Observable:
     """dA/dx * dB/dk - dA/dk * dB/dx, operator products in written order."""
-    return partial_x(a) * partial_k(b) - partial_k(a) * partial_x(b)
+    return derivative(a, 0) * derivative(b, 1) - derivative(a, 1) * derivative(b, 0)
 
 
 def aleksandrov_bracket(a: Observable, b: Observable) -> Observable:

@@ -17,10 +17,15 @@ from qcbracket.explorer import IDENTITIES, SECTORS
 
 _EMPTY_CELLS = {(kind, identity, sector, 2): {}
                 for kind, identity, sector in product(BracketKind, IDENTITIES, SECTORS)}
+# No bracket violates either identity on one sector alone to degree 3.
+_PURE_SECTOR_CELLS = {(kind, identity, sector, 3): {}
+                      for kind, identity, sector in product(
+                          BracketKind, IDENTITIES, ("classical", "quantum"))}
 
 # (kind, identity, sector, max degree) -> {(total degree, min-hbar degree): count}
 CENSUS = {
     **_EMPTY_CELLS,
+    **_PURE_SECTOR_CELLS,
     (BracketKind.POISSON, "jacobi", "all", 2): {(6, 1): 24},
     (BracketKind.POISSON, "leibniz", "all", 2): {(4, 1): 4, (5, 1): 32, (6, 1): 64},
     (BracketKind.ALEKSANDROV, "leibniz", "all", 2): {(4, 1): 8, (5, 1): 64, (6, 1): 120},
@@ -33,6 +38,17 @@ CENSUS = {
     (BracketKind.ALEKSANDROV, "jacobi", "all", 3): {(8, 2): 16, (9, 2): 32},
     (BracketKind.NORMAL_ORDER, "jacobi", "all", 3):
         {(6, 1): 2, (7, 1): 24, (8, 1): 94, (9, 1): 118},
+    # 4,020 violations, all of order hbar.
+    (BracketKind.POISSON, "leibniz", "all", 3):
+        {(4, 1): 4, (5, 1): 48, (6, 1): 264, (7, 1): 840, (8, 1): 1504, (9, 1): 1360},
+    (BracketKind.COMMUTATOR, "leibniz", "all", 3): {},
+    # 7,304 violations of order hbar and 76 of order hbar^2.
+    (BracketKind.ALEKSANDROV, "leibniz", "all", 3):
+        {(4, 1): 8, (5, 1): 96, (6, 1): 520, (7, 1): 1592, (8, 1): 2712, (9, 1): 2376,
+         (7, 2): 8, (8, 2): 32, (9, 2): 36},
+    # 4,210 violations, all of order hbar.
+    (BracketKind.NORMAL_ORDER, "leibniz", "all", 3):
+        {(4, 1): 4, (5, 1): 48, (6, 1): 268, (7, 1): 866, (8, 1): 1576, (9, 1): 1448},
 }
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,6 +112,20 @@ def test_parse_error_positions():
         parse("")
     with pytest.raises(SyntaxError, match="unexpected character '\\$' at position 3"):
         parse("x+$")
+
+
+@pytest.mark.parametrize("text, char, pos", [
+    ("x^\u00b2", "\u00b2", 3),         # superscript two
+    ("\u0661\u0662*x", "\u0661", 1),  # Arabic-Indic one, two
+])
+def test_only_ascii_digits_form_integers(capsys, text, char, pos):
+    message = f"unexpected character {char!r} at position {pos}"
+    with pytest.raises(SyntaxError, match=message):
+        parse(text)
+    assert run(["canon", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_parse_division_only_in_rationals():
@@ -421,6 +436,13 @@ def test_importing_the_library_loads_no_cli_or_pool():
                    "'argparse', 'multiprocessing', 'concurrent.futures',"
                    " 'qcbracket.cli'}))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_all_lists_each_public_name_once():
+    public = {name for name, value in vars(qcbracket).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(qcbracket.__all__) == len(set(qcbracket.__all__))
+    assert set(qcbracket.__all__) == public
 
 
 def test_usage_errors_exit_2(capsys):

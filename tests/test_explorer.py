@@ -1,13 +1,17 @@
 """Exhaustive scans, their canonicalization, and the random generators."""
 
 import concurrent.futures
+import dataclasses
+import pickle
 from itertools import permutations, product
 
 import pytest
 
 from qcbracket import (
     BracketKind,
+    ResidualReport,
     ScanConfig,
+    ViolationRecord,
     axiom_sweep,
     enumerate_monomials,
     jacobi_residual,
@@ -60,6 +64,13 @@ def test_scan_config_validation():
         ScanConfig(kind=NORMAL, sector="bosonic")
     with pytest.raises(ValueError):
         ScanConfig(kind=NORMAL, max_degree=-1)
+    # Caught here, not later as a KeyError in the dispatch or a TypeError in comb.
+    for kind in ("normal", "normal_order", None):
+        with pytest.raises(ValueError, match="kind"):
+            ScanConfig(kind=kind)
+    for max_degree in (1.5, 2.0, "3", True, None):
+        with pytest.raises(ValueError, match="max_degree"):
+            ScanConfig(kind=NORMAL, max_degree=max_degree)
 
 
 def test_triple_count_matches_the_enumeration():
@@ -188,6 +199,28 @@ def test_scan_jobs_are_clamped_to_the_cpu_count(monkeypatch, cpus, workers):
     assert _SerialPool.started == workers
 
 
+def test_a_record_holds_its_triple_and_residual_only():
+    assert [f.name for f in dataclasses.fields(ViolationRecord)] == ["triple", "residual"]
+    records = scan(ScanConfig(kind=ALEKSANDROV, identity="jacobi", max_degree=3))
+    assert records
+    for record in records:
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record
+        assert copy.residual_min_hbar_degree == record.residual_min_hbar_degree == 2
+
+
+@pytest.mark.parametrize("residual", ["x", "x + hbar*q"])
+def test_an_hbar_free_residual_is_an_internal_failure(monkeypatch, residual):
+    # Every violation is at least O(hbar); a residual with an hbar^0 term
+    # means the algebra is broken, and the scan says so instead of recording it.
+    monkeypatch.setattr(explorer, "jacobi_residual",
+                        lambda *args: ResidualReport(parse(residual)))
+    for include_zero in (False, True):
+        config = ScanConfig(kind=NORMAL, max_degree=0, include_zero=include_zero)
+        with pytest.raises(RuntimeError, match="hbar-free content"):
+            scan(config)
+
+
 def test_include_zero_reports_every_triple():
     config = ScanConfig(kind=ALEKSANDROV, identity="jacobi", max_degree=1,
                         include_zero=True)
@@ -251,6 +284,10 @@ def test_random_observable_sectors():
 def test_random_observable_rejects_empty_budget():
     with pytest.raises(ValueError):
         random_observable(0, 3, 0)
+    # No monomial has a negative degree, so nothing could be drawn.
+    with pytest.raises(ValueError, match="max_degree"):
+        random_observable(0, max_degree=-1)
+    assert random_observable(0, max_degree=0) == random_observable(0, 0, 1)
 
 
 # --- axiom sweeps ----------------------------------------------------------------
