@@ -268,10 +268,6 @@ class HbarSeries(_TermMap):
             raise ValueError(f"hbar degree {degree!r} is not a nonnegative int")
         return degree
 
-    @classmethod
-    def hbar(cls, degree: int = 1, coeff: ScalarLike = 1) -> "HbarSeries":
-        return cls({degree: coeff})
-
     def __add__(self, other: "HbarSeries") -> "HbarSeries":
         if not isinstance(other, HbarSeries):
             return NotImplemented
@@ -308,22 +304,6 @@ class HbarSeries(_TermMap):
         return _series(out)
 
     __rmul__ = __mul__
-
-    def min_degree(self) -> int | None:
-        """Lowest hbar-degree present, or None for the zero polynomial."""
-        return min(self.terms) if self.terms else None
-
-    def constant_part(self) -> "HbarSeries":
-        """The hbar-degree-0 part (the hbar -> 0 limit of the coefficient)."""
-        if 0 in self.terms:
-            return _make(HbarSeries, {0: self.terms[0]})
-        return _SERIES_ZERO
-
-    def divided_by_i_hbar(self) -> "HbarSeries":
-        """Exact division by i*hbar; every degree must be >= 1."""
-        if 0 in self.terms:
-            raise NotDivisibleError("coefficient has an hbar-free part")
-        return _make(HbarSeries, {d - 1: c.divided_by_i() for d, c in self.terms.items()})
 
 
 def _series(terms: dict[int, GaussianRational]) -> HbarSeries:
@@ -422,11 +402,7 @@ class Observable(_TermMap):
 
     def min_hbar_degree(self) -> int | None:
         """Smallest hbar-degree over all coefficients, or None if zero."""
-        degrees = [s.min_degree() for s in self.terms.values()]
-        return min(degrees) if degrees else None
-
-    def is_hbar_free(self) -> bool:
-        return all(set(s.terms) == {0} for s in self.terms.values())
+        return min((min(s.terms) for s in self.terms.values()), default=None)
 
     def is_classical(self) -> bool:
         """No quantum content: every monomial has n_q = n_p = 0."""
@@ -451,7 +427,7 @@ _GENERATORS: dict[str, Observable] = {
     "k": Observable({(0, 1, 0, 0): _SERIES_ONE}),
     "q": Observable({(0, 0, 1, 0): _SERIES_ONE}),
     "p": Observable({(0, 0, 0, 1): _SERIES_ONE}),
-    "hbar": Observable({_UNIT_MONOMIAL: HbarSeries.hbar()}),
+    "hbar": Observable({_UNIT_MONOMIAL: HbarSeries({1: 1})}),
     "i": Observable({_UNIT_MONOMIAL: HbarSeries(_GR_I)}),
     "one": ONE,
 }
@@ -617,15 +593,18 @@ def divide_by_i_hbar(a: Observable) -> Observable:
     """
     if not a.terms:
         return a
-    try:
-        return _make(Observable, {m: c.divided_by_i_hbar() for m, c in a.terms.items()})
-    except NotDivisibleError as exc:
-        raise NotDivisibleError(f"observable is not divisible by i*hbar: {exc}") from None
+    if any(0 in c.terms for c in a.terms.values()):
+        raise NotDivisibleError(
+            "observable is not divisible by i*hbar: coefficient has an hbar-free part")
+    return _make(Observable, {
+        m: _make(HbarSeries, {d - 1: g.divided_by_i() for d, g in c.terms.items()})
+        for m, c in a.terms.items()})
 
 
 def hbar_zero(a: Observable) -> Observable:
     """Keep only the hbar-degree-0 part of every coefficient."""
-    return _observable({m: c.constant_part() for m, c in a.terms.items()})
+    return _observable({m: _make(HbarSeries, {0: c.terms[0]})
+                        for m, c in a.terms.items() if 0 in c.terms})
 
 
 def symbol_poisson(a: Observable, b: Observable) -> Observable:
@@ -635,7 +614,7 @@ def symbol_poisson(a: Observable, b: Observable) -> Observable:
     commutative.  This is the classical-limit oracle; both inputs must be
     hbar-free (apply hbar_zero first).
     """
-    if not a.is_hbar_free() or not b.is_hbar_free():
+    if hbar_zero(a) != a or hbar_zero(b) != b:
         raise ValueError("symbol_poisson requires hbar-free inputs")
     return (
         _product(_partial(a, 0), _partial(b, 1), _concatenated)

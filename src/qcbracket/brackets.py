@@ -62,17 +62,6 @@ class BracketKind(enum.Enum):
     ALEKSANDROV = "aleksandrov"
     NORMAL_ORDER = "normal_order"
 
-    @classmethod
-    def from_name(cls, name: str) -> "BracketKind":
-        """Resolve a command-line spelling, e.g. 'normal' or 'normal-order'."""
-        key = name.strip().lower().replace("-", "_")
-        if key == "normal":
-            key = "normal_order"
-        for kind in cls:
-            if kind.value == key:
-                return kind
-        raise ValueError(f"unknown bracket kind {name!r}")
-
 
 MIXED_KINDS = (BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER)
 

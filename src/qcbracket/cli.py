@@ -21,8 +21,10 @@ from .syntax import (DEGREE_CAP, ExponentError, OutputRecord, _degree,
 
 # --- subcommands ------------------------------------------------------------
 
-_KIND_NAMES = ("poisson", "commutator", "aleksandrov", "normal",
-               "normal-order", "normal_order")
+# Each accepted --kind spelling; argparse lists the keys, in this order.
+_KINDS = {"poisson": BracketKind.POISSON, "commutator": BracketKind.COMMUTATOR,
+          "aleksandrov": BracketKind.ALEKSANDROV, "normal": BracketKind.NORMAL_ORDER,
+          "normal-order": BracketKind.NORMAL_ORDER, "normal_order": BracketKind.NORMAL_ORDER}
 
 
 def _emit(a: Observable, fmt: str) -> None:
@@ -49,14 +51,14 @@ def _parse_inputs(*texts: str) -> list[Observable]:
 
 
 def _cmd_bracket(args: argparse.Namespace) -> int:
-    kind = BracketKind.from_name(args.kind)
+    kind = _KINDS[args.kind]
     result = bracket_of(kind, *_parse_inputs(args.a, args.b))
     _emit(result, args.format)
     return 0
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
-    kind = BracketKind.from_name(args.kind)
+    kind = _KINDS[args.kind]
     residual_of = jacobi_residual if args.identity == "jacobi" else leibniz_residual
     report = residual_of(kind, *_parse_inputs(args.a, args.b, args.c))
     if args.format == "json":
@@ -68,7 +70,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
-    kind = BracketKind.from_name(args.kind)
+    kind = _KINDS[args.kind]
     violations = axiom_sweep(kind, args.samples, args.seed)
     print(f"violations: {len(violations)}")
     return 1 if violations else 0
@@ -76,7 +78,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     config = ScanConfig(
-        kind=BracketKind.from_name(args.kind),
+        kind=_KINDS[args.kind],
         identity=args.identity,
         max_degree=args.max_degree,
         sector=args.sector)
@@ -108,7 +110,7 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_kind(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kind", choices=_KIND_NAMES, required=True)
+    sub.add_argument("--kind", choices=_KINDS, required=True)
 
 
 @cache

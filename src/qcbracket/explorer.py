@@ -175,9 +175,11 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
     where that is sound (see _canonicalize_triples); Leibniz has no such
     symmetry, so its triples are ordered.  Records come back sorted by
     (total triple degree, enumeration order) regardless of ``jobs``, which is
-    clamped to the CPU count and must be positive.  A scan of more than
+    clamped to the CPU count and must be a positive int.  A scan of more than
     ``SCAN_TRIPLE_CAP`` triples raises ValueError up front.
     """
+    if type(jobs) is not int:
+        raise ValueError(f"jobs must be an int, not {jobs!r}")
     if jobs < 1:
         raise ValueError("jobs must be positive")
     total = _triple_count(config, _sector_size(config))
@@ -218,10 +220,6 @@ def _random_series(rng: random.Random) -> HbarSeries:
 
 def _random_from(rng: random.Random, max_degree: int, max_terms: int,
                  sector: str) -> Observable:
-    if max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
     pool = _sector_monomials(max_degree, sector)
     count = min(rng.randint(1, max_terms), len(pool))
     monos = rng.sample(pool, count)
@@ -234,8 +232,16 @@ def random_observable(seed: int, max_degree: int = 3, max_terms: int = 4,
     """Deterministic pseudo-random observable; same seed, same value.
 
     Monomials of degree <= max_degree, coefficients with numerators and
-    denominators bounded by 9 and hbar-degree <= 2.
+    denominators bounded by 9 and hbar-degree <= 2.  Raises ValueError for a
+    sector not in SECTORS, or unless max_degree >= 0 and max_terms >= 1 are
+    ints (not bools).
     """
+    if sector not in SECTORS:
+        raise ValueError(f"unknown sector {sector!r}")
+    if type(max_degree) is not int or max_degree < 0:
+        raise ValueError(f"max_degree must be a nonnegative int, not {max_degree!r}")
+    if type(max_terms) is not int or max_terms < 1:
+        raise ValueError(f"max_terms must be a positive int, not {max_terms!r}")
     return _random_from(random.Random(seed), max_degree, max_terms, sector)
 
 
@@ -244,8 +250,11 @@ def axiom_sweep(kind: BracketKind, samples: int, seed: int) -> list[ResidualRepo
 
     Draws ``samples`` quadruples (C, Q, C', Q') of degree <= 3 and returns
     every nonzero axiom residual.  Expected empty for the aleksandrov and
-    normal-order kinds.  Raises ValueError unless 1 <= samples <= AXIOM_SAMPLE_CAP.
+    normal-order kinds.  Raises ValueError unless samples is an int (not a
+    bool) with 1 <= samples <= AXIOM_SAMPLE_CAP.
     """
+    if type(samples) is not int:
+        raise ValueError(f"samples must be an int, not {samples!r}")
     if samples < 1:
         raise ValueError("samples must be positive")
     if samples > AXIOM_SAMPLE_CAP:

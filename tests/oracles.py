@@ -10,8 +10,9 @@ classical parts the package's term-pair kernels replaced, and the
 standard-ordered star product is an independent reference for operator
 products.  The coefficient oracles are the general double-loop series
 product and the ``a + (-b)`` subtraction that the package's single-term and
-one-merge paths replaced; ``assert_canonical`` checks the canonical form
-every result must have.
+one-merge paths replaced, and per-term loops for ``hbar_zero``,
+``min_hbar_degree`` and ``divide_by_i_hbar``.  ``assert_canonical`` checks
+the canonical form every result must have.
 """
 
 from dataclasses import dataclass
@@ -254,6 +255,26 @@ def divided_by_i_hbar(a: Observable) -> Observable:
     return Observable({
         m: HbarSeries({d - 1: GaussianRational(c.im, -c.re) for d, c in s.terms.items()})
         for m, s in a.terms.items()})
+
+
+def hbar_zero(a: Observable) -> Observable:
+    """The hbar-degree-0 entry of every coefficient, kept term by term."""
+    out = {}
+    for m, s in a.terms.items():
+        for d, c in s.terms.items():
+            if d == 0:
+                out[m] = HbarSeries({0: c})
+    return Observable(out)
+
+
+def min_hbar_degree(a: Observable) -> "int | None":
+    """The lowest hbar degree of any coefficient entry; None for zero."""
+    lowest = None
+    for s in a.terms.values():
+        for d in s.terms:
+            if lowest is None or d < lowest:
+                lowest = d
+    return lowest
 
 
 def assert_canonical(value: "Observable | HbarSeries") -> None:

@@ -130,14 +130,6 @@ def test_bracket_dispatch():
     assert bracket(BracketKind.ALEKSANDROV, X * Q, K) == Q
 
 
-def test_kind_names():
-    assert BracketKind.from_name("normal") is BracketKind.NORMAL_ORDER
-    assert BracketKind.from_name("normal-order") is BracketKind.NORMAL_ORDER
-    assert BracketKind.from_name("ALEKSANDROV") is BracketKind.ALEKSANDROV
-    with pytest.raises(ValueError):
-        BracketKind.from_name("weyl")
-
-
 # --- jacobi -------------------------------------------------------------------
 
 def test_jacobi_residual_cubic_triple_aleksandrov():

@@ -123,13 +123,27 @@ def test_subtraction_and_negation_equal_the_oracles(pair):
 @settings(deadline=None, max_examples=100)
 @given(observables())
 def test_divide_by_i_hbar_equals_the_oracle(a):
-    divisible = scale(HbarSeries.hbar(), a)
+    divisible = scale(HbarSeries({1: 1}), a)
     assert divide_by_i_hbar(divisible) == oracles.divided_by_i_hbar(divisible)
     if any(0 in s.terms for s in a.terms.values()):
-        with pytest.raises(NotDivisibleError):
+        with pytest.raises(NotDivisibleError) as exc:
             divide_by_i_hbar(a)
+        assert str(exc.value) == ("observable is not divisible by i*hbar: "
+                                  "coefficient has an hbar-free part")
         with pytest.raises(NotDivisibleError):
             oracles.divided_by_i_hbar(a)
+
+
+@settings(deadline=None, max_examples=100)
+@given(observable_pairs())
+def test_hbar_zero_and_min_hbar_degree_equal_the_oracles(pair):
+    a, b = pair
+    for value in (a, a * b):
+        expected = oracles.hbar_zero(value)
+        assert hbar_zero(value) == expected
+        if not expected:
+            assert hbar_zero(value) is ZERO
+        assert value.min_hbar_degree() == oracles.min_hbar_degree(value)
 
 
 @settings(deadline=None, max_examples=80)
@@ -170,7 +184,7 @@ def test_operation_results_are_canonical(pair, s):
     a, b = pair
     for result in (a + b, a - b, -a, a * b, scale(s, a), hbar_zero(a * b),
                    divide_by_i_hbar(a * b - b * a),
-                   divide_by_i_hbar(scale(HbarSeries.hbar(2), a))):
+                   divide_by_i_hbar(scale(HbarSeries({2: 1}), a))):
         assert_canonical(result)
 
 

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -24,7 +26,7 @@ from qcbracket import (
     scale,
 )
 import qcbracket
-from qcbracket.cli import _KIND_NAMES, run
+from qcbracket.cli import _KINDS, run
 from qcbracket.syntax import (
     DEGREE_CAP,
     NESTING_CAP,
@@ -291,6 +293,40 @@ def test_bracket_command(capsys):
     assert capsys.readouterr().out == "4*q*p - 2*i*hbar\n"
 
 
+def test_kind_spellings(capsys):
+    # Each spelling prints what its member's value prints; the second pair
+    # of operands tells all four brackets apart.
+    for operands in (["x*q", "k"], ["x*p", "k*q"]):
+        printed = {}
+        for kind in BracketKind:
+            assert run(["bracket", "--kind", kind.value, *operands]) == 0
+            printed[kind] = capsys.readouterr().out
+        for name, kind in _KINDS.items():
+            assert run(["bracket", "--kind", name, *operands]) == 0
+            assert capsys.readouterr().out == printed[kind], name
+    assert len(set(printed.values())) == len(BracketKind)
+    # Spellings are exact: no case folding, and no unknown kind.
+    for name in ("ALEKSANDROV", "weyl"):
+        assert run(["bracket", "--kind", name, "x*q", "k"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        # A "$ " line is a command; its output runs to the next "$ " line or
+        # to the end of the block.
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            if command.startswith("qcbracket "):
+                examples.append((command, output.strip("\n") + "\n"))
+    assert examples
+    for command, expected in examples:
+        run(shlex.split(command)[1:])
+        assert capsys.readouterr().out == expected, command
+
+
 def test_jacobi_command_documented_examples(capsys):
     assert run(["jacobi", "--kind", "aleksandrov", "x*q", "x*q*p", "k^2*p"]) == 1
     assert capsys.readouterr().out == "residual: (1/2)*hbar^2\nFAIL\n"
@@ -523,7 +559,7 @@ def _argvs(draw):
     command = draw(st.sampled_from(["canon", "bracket", "jacobi", "leibniz"]))
     argv = [command, "--format", draw(st.sampled_from(["text", "json"]))]
     if command != "canon":
-        argv += ["--kind", draw(st.sampled_from(_KIND_NAMES))]
+        argv += ["--kind", draw(st.sampled_from(list(_KINDS)))]
     arity = {"canon": 1, "bracket": 2}.get(command, 3)
     # After "--", an expression that starts with '-' is still an operand.
     return argv + ["--", *(draw(_expressions()) for _ in range(arity))]

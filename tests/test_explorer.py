@@ -163,6 +163,10 @@ def test_scan_rejects_nonpositive_jobs():
     config = ScanConfig(kind=NORMAL, identity="jacobi", max_degree=1)
     with pytest.raises(ValueError, match="jobs must be positive"):
         scan(config, jobs=0)
+    # Not truncated: a float or a bool is not a worker count.
+    for jobs in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="jobs must be an int"):
+            scan(config, jobs=jobs)
 
 
 def test_parallel_scan_matches_sequential():
@@ -288,6 +292,14 @@ def test_random_observable_rejects_empty_budget():
     with pytest.raises(ValueError, match="max_degree"):
         random_observable(0, max_degree=-1)
     assert random_observable(0, max_degree=0) == random_observable(0, 0, 1)
+    # Not truncated and not read as "all": the same checks as ScanConfig.
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="max_degree"):
+            random_observable(0, max_degree=bad)
+        with pytest.raises(ValueError, match="max_terms"):
+            random_observable(0, max_terms=bad)
+    with pytest.raises(ValueError, match="unknown sector 'bosonic'"):
+        random_observable(0, sector="bosonic")
 
 
 # --- axiom sweeps ----------------------------------------------------------------
@@ -302,6 +314,10 @@ def test_axiom_sweep_zero_samples():
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples must be positive"):
             axiom_sweep(NORMAL, samples, 5)
+    # True would run one sample and 2.5 would fail inside range().
+    for samples in (2.5, True):
+        with pytest.raises(ValueError, match="samples must be an int"):
+            axiom_sweep(NORMAL, samples, 0)
 
 
 def test_axiom_sweep_detects_violations():
