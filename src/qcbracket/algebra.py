@@ -291,6 +291,9 @@ class HbarSeries(_TermMap):
                 return _make(HbarSeries, {d: c * other for d, c in self.terms.items()})
             # An Observable operand: its __rmul__ scales by this series.
             return NotImplemented
+        # Scanned monomials carry the unit series, so most scan products have it.
+        if self is _SERIES_ONE or other is _SERIES_ONE:
+            return other if self is _SERIES_ONE else self
         if len(self.terms) == 1 == len(other.terms):
             [(d1, c1)] = self.terms.items()
             [(d2, c2)] = other.terms.items()

@@ -23,10 +23,12 @@ Residual functionals (Jacobi, Leibniz, the sector-factorization axioms, the
 classical limit) return the full residual observable so that violation
 magnitudes are inspectable exactly, not just as booleans.
 
-Inside ``_pair_table``, which ``explorer._scan_range`` enters, the dispatch
-remembers the bracket of each ordered pair of the N scanned monomials, at most
-N^2 values, in a table that lives in one context and ends with the scan range.
-Any other pair, or any call outside a scan, computes.
+In a scan, whose monomials carry the unit coefficient series, products with it
+are free (``HbarSeries.__mul__``), an antisymmetric kind's Jacobi residual is
+zero uncomputed when an argument repeats, and inside ``_pair_table`` the
+dispatch of the scanned kind remembers the bracket of each ordered pair of the
+N scanned observables, keyed by their ids, which the context keeps alive.  Any
+other pair, an equal but distinct observable included, computes.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import (
-    _SERIES_ONE,
     Observable,
+    ZERO,
     _classical_part,
     _commuted,
     _concatenated,
@@ -64,6 +66,9 @@ class BracketKind(enum.Enum):
 
 
 MIXED_KINDS = (BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER)
+# The kinds antisymmetric on every input; ordered_poisson is so only on
+# classical ones.  A tuple, so ``in`` matches by identity with no enum hash.
+ANTISYMMETRIC_KINDS = (BracketKind.COMMUTATOR, *MIXED_KINDS)
 
 
 @dataclass(frozen=True)
@@ -122,17 +127,16 @@ def normal_bracket(a: Observable, b: Observable) -> Observable:
     return quantum_bracket(a, b) + normal_bracket_classical(a, b)
 
 
-# None outside ``_pair_table``.  Inside, a dict with a key (kind, m1, m2) for
-# each ordered pair of scanned monomials, whose value stays None until computed.
-_PAIR_TABLE: ContextVar[dict | None] = ContextVar("pair_table", default=None)
-_UNIT_COEFFICIENTS = [_SERIES_ONE]
+# None outside ``_pair_table``.  Inside, (kind, dict) with a key (id(a), id(b))
+# for each ordered pair of scanned observables, its value None until computed.
+_PAIR_TABLE: ContextVar[tuple | None] = ContextVar("pair_table", default=None)
 _NOT_SCANNED = object()
 
 
 @contextmanager
-def _pair_table(kind: BracketKind, monos):
-    """Remember ``kind`` brackets of each pair of ``monos`` in this context."""
-    token = _PAIR_TABLE.set(dict.fromkeys(product((kind,), monos, monos)))
+def _pair_table(kind: BracketKind, observables):
+    """Remember ``kind`` brackets of each pair of ``observables`` in this context."""
+    token = _PAIR_TABLE.set((kind, dict.fromkeys(product(map(id, observables), repeat=2))))
     try:
         yield
     finally:
@@ -140,16 +144,15 @@ def _pair_table(kind: BracketKind, monos):
 
 
 def _tabled(kind: BracketKind, fn):
-    """``fn`` behind the live pair table, for two scanned monomials."""
+    """``fn`` behind the live pair table, for two scanned observables."""
     def tabled(a: Observable, b: Observable) -> Observable:
-        table = _PAIR_TABLE.get()
-        if (table is None or list(a.terms.values()) != _UNIT_COEFFICIENTS
-                or list(b.terms.values()) != _UNIT_COEFFICIENTS):
+        state = _PAIR_TABLE.get()
+        if state is None or state[0] is not kind:
             return fn(a, b)
-        key = (kind, *a.terms, *b.terms)
-        value = table.get(key, _NOT_SCANNED)
+        key = (id(a), id(b))
+        value = state[1].get(key, _NOT_SCANNED)
         if value is None:
-            value = table[key] = fn(a, b)
+            value = state[1][key] = fn(a, b)
         elif value is _NOT_SCANNED:
             value = fn(a, b)
         return value
@@ -164,15 +167,25 @@ _DISPATCH = {kind: _tabled(kind, fn) for kind, fn in (
 )}
 
 
+def _dispatch(kind: BracketKind):
+    """The dispatched bracket function of ``kind``; ValueError for a non-kind."""
+    try:
+        return _DISPATCH[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"kind must be a BracketKind, not {kind!r}") from None
+
+
 def bracket(kind: BracketKind, a: Observable, b: Observable) -> Observable:
     """Evaluate the bracket of the chosen kind."""
-    return _DISPATCH[kind](a, b)
+    return _dispatch(kind)(a, b)
 
 
 def jacobi_residual(kind: BracketKind, a: Observable, b: Observable,
                     c: Observable) -> ResidualReport:
     """((A,B),C) + ((B,C),A) + ((C,A),B); zero exactly when Jacobi holds."""
-    fn = _DISPATCH[kind]
+    fn = _dispatch(kind)
+    if kind in ANTISYMMETRIC_KINDS and (a is b or b is c or c is a):
+        return ResidualReport(ZERO)
     residual = fn(fn(a, b), c) + fn(fn(b, c), a) + fn(fn(c, a), b)
     return ResidualReport(residual)
 
@@ -180,7 +193,7 @@ def jacobi_residual(kind: BracketKind, a: Observable, b: Observable,
 def leibniz_residual(kind: BracketKind, a: Observable, b: Observable,
                      c: Observable) -> ResidualReport:
     """(AB,C) - (A,C)B - A(B,C), operator products in written order."""
-    fn = _DISPATCH[kind]
+    fn = _dispatch(kind)
     residual = fn(a * b, c) - fn(a, c) * b - a * fn(b, c)
     return ResidualReport(residual)
 

@@ -28,6 +28,7 @@ from .algebra import (
 )
 from .brackets import (
     _pair_table,
+    ANTISYMMETRIC_KINDS,
     BracketKind,
     ResidualReport,
     axiom_residuals,
@@ -43,6 +44,8 @@ SCAN_TRIPLE_CAP = 10**7
 # An axiom sweep past this many quadruples is refused before any is drawn;
 # at about 1.1 ms a quadruple that is an 18-minute run.
 AXIOM_SAMPLE_CAP = 10**6
+# random_observable refuses a monomial pool past this size before listing it.
+RANDOM_POOL_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -97,18 +100,17 @@ def enumerate_monomials(max_degree: int) -> list[Monomial]:
 
 
 def _sector_monomials(max_degree: int, sector: str) -> list[Monomial]:
-    monos = enumerate_monomials(max_degree)
-    if sector == "classical":
-        return [m for m in monos if not (m[2] or m[3])]
-    if sector == "quantum":
-        return [m for m in monos if not (m[0] or m[1])]
-    return monos
+    # A pure sector's monomials in enumeration order, without listing the others.
+    if sector == "all":
+        return enumerate_monomials(max_degree)
+    pairs = ((n, d - n) for d in range(max_degree + 1) for n in range(d + 1))
+    return [(a, b, 0, 0) if sector == "classical" else (0, 0, a, b) for a, b in pairs]
 
 
-def _sector_size(config: ScanConfig) -> int:
+def _sector_size(max_degree: int, sector: str) -> int:
     """How many monomials ``_sector_monomials`` lists, without listing them."""
-    variables = 4 if config.sector == "all" else 2
-    return comb(config.max_degree + variables, variables)
+    variables = 4 if sector == "all" else 2
+    return comb(max_degree + variables, variables)
 
 
 def _canonicalize_triples(config: ScanConfig) -> bool:
@@ -116,9 +118,7 @@ def _canonicalize_triples(config: ScanConfig) -> bool:
     # ordered_poisson is antisymmetric only on the classical sector.
     if config.identity != "jacobi":
         return False
-    if config.kind is BracketKind.POISSON:
-        return config.sector == "classical"
-    return True
+    return config.kind in ANTISYMMETRIC_KINDS or config.sector == "classical"
 
 
 def _index_triples(config: ScanConfig, count: int) -> Iterable[tuple[int, int, int]]:
@@ -160,7 +160,7 @@ def _scan_range(config: ScanConfig, lo: int, hi: int) -> list[ViolationRecord]:
     monos = _sector_monomials(config.max_degree, config.sector)
     observables = [monomial_observable(m) for m in monos]
     out = []
-    with _pair_table(config.kind, monos):
+    with _pair_table(config.kind, observables):
         for idx in islice(_index_triples(config, len(monos)), lo, hi):
             hit = _evaluate(config, monos, observables, idx)
             if hit is not None:
@@ -182,7 +182,7 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
         raise ValueError(f"jobs must be an int, not {jobs!r}")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    total = _triple_count(config, _sector_size(config))
+    total = _triple_count(config, _sector_size(config.max_degree, config.sector))
     if total > SCAN_TRIPLE_CAP:
         raise ValueError(f"scan of {total} triples exceeds the cap of {SCAN_TRIPLE_CAP}")
     # The pool starts every worker at once; more than one per core only
@@ -233,8 +233,8 @@ def random_observable(seed: int, max_degree: int = 3, max_terms: int = 4,
 
     Monomials of degree <= max_degree, coefficients with numerators and
     denominators bounded by 9 and hbar-degree <= 2.  Raises ValueError for a
-    sector not in SECTORS, or unless max_degree >= 0 and max_terms >= 1 are
-    ints (not bools).
+    sector not in SECTORS, unless max_degree >= 0 and max_terms >= 1 are ints
+    (not bools), or for more than RANDOM_POOL_CAP monomials to draw from.
     """
     if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector!r}")
@@ -242,6 +242,9 @@ def random_observable(seed: int, max_degree: int = 3, max_terms: int = 4,
         raise ValueError(f"max_degree must be a nonnegative int, not {max_degree!r}")
     if type(max_terms) is not int or max_terms < 1:
         raise ValueError(f"max_terms must be a positive int, not {max_terms!r}")
+    pool = _sector_size(max_degree, sector)
+    if pool > RANDOM_POOL_CAP:
+        raise ValueError(f"pool of {pool} monomials exceeds the cap of {RANDOM_POOL_CAP}")
     return _random_from(random.Random(seed), max_degree, max_terms, sector)
 
 

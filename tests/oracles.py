@@ -6,7 +6,8 @@ compare the two so a bug in the combinatorics cannot hide behind itself.
 ``FractionGaussian`` is the coefficient type the package replaced,
 kept as the reference for its integer-triple successor.  The bracket
 oracles are the two-product commutator and the partials-and-products
-classical parts the package's term-pair kernels replaced, and the
+classical parts the package's term-pair kernels replaced; ``jacobi`` sums
+their nested brackets with no shortcut for a repeated argument.  The
 standard-ordered star product is an independent reference for operator
 products.  The coefficient oracles are the general double-loop series
 product and the ``a + (-b)`` subtraction that the package's single-term and
@@ -173,6 +174,11 @@ def normal_bracket_classical(a: Observable, b: Observable) -> Observable:
 
 def normal_bracket(a: Observable, b: Observable) -> Observable:
     return quantum_bracket(a, b) + normal_bracket_classical(a, b)
+
+
+def jacobi(bracket, a: Observable, b: Observable, c: Observable) -> Observable:
+    """((A,B),C) + ((B,C),A) + ((C,A),B), computed whatever the arguments."""
+    return bracket(bracket(a, b), c) + bracket(bracket(b, c), a) + bracket(bracket(c, a), b)
 
 
 # --- the standard-ordered star product ----------------------------------------

@@ -1,5 +1,7 @@
 """The four candidate brackets and their identity residuals."""
 
+import re
+
 import pytest
 
 from qcbracket import (
@@ -10,6 +12,7 @@ from qcbracket import (
     ResidualReport,
     aleksandrov_bracket,
     axiom_residuals,
+    axiom_sweep,
     bracket,
     classical_limit_residual,
     generator,
@@ -128,6 +131,25 @@ def test_bracket_dispatch():
     assert bracket(BracketKind.POISSON, X, K) == ONE
     assert bracket(BracketKind.NORMAL_ORDER, parse("k*p"), parse("x*p")) == parse("-p^2")
     assert bracket(BracketKind.ALEKSANDROV, X * Q, K) == Q
+
+
+def test_a_kind_that_is_not_a_bracket_kind_raises_value_error():
+    # CLI spellings, a member's value and an unhashable value are not kinds.
+    c, q = parse("x*k"), parse("q*p")
+    for kind in ("normal_order", "normal", "poisson", None, []):
+        calls = (
+            lambda: bracket(kind, X, K),
+            lambda: jacobi_residual(kind, X, K, Q),
+            # Not the zero of an antisymmetric kind's repeated argument.
+            lambda: jacobi_residual(kind, X, X, X),
+            lambda: leibniz_residual(kind, X, K, Q),
+            lambda: axiom_residuals(kind, c, q, c, q),
+            lambda: classical_limit_residual(kind, X, K),
+            lambda: axiom_sweep(kind, 1, 0),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"BracketKind, not {kind!r}")):
+                call()
 
 
 # --- jacobi -------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The coefficient fast paths against their oracles, and the canonical form.
 
-Single-term series multiply with one coefficient product, subtraction is one
-merge, empty operands and empty results short-circuit to a shared value, and
-results known to hold no zero skip the zero filter.  Each of those paths is
+Single-term series multiply with one coefficient product, a product with the
+unit series is the other factor, subtraction is one merge, empty operands and
+empty results short-circuit to a shared value, and results known to hold no
+zero skip the zero filter.  Each of those paths is
 compared here with the general path it replaced (``tests/oracles.py``), on
 operands built to be single-term, multi-term, empty or cancelling.  The
 invariant tests then check that every result of the public operations, the
@@ -30,8 +31,8 @@ from qcbracket import (
     leibniz_residual,
     scale,
 )
-from qcbracket.algebra import (_classical_part, _commuted, _concatenated, _product,
-                               _reordered, _symmetrized)
+from qcbracket.algebra import (_SERIES_ONE, _classical_part, _commuted, _concatenated,
+                               _product, _reordered, _symmetrized)
 import oracles
 from oracles import assert_canonical
 
@@ -164,6 +165,38 @@ def test_classical_part_equals_the_oracles(pair):
     assert _classical_part(a, b, _symmetrized) == scale(
         Fraction(1, 2), oracles.difference(ab, ba))
     assert _classical_part(a, b, _concatenated) == oracles.normal_bracket_classical(a, b)
+
+
+@st.composite
+def unit_observables(draw):
+    """Monomials whose coefficients are all the unit series, as a scan has them."""
+    monomials = draw(st.lists(st.sampled_from(enumerate_monomials(3)), min_size=1,
+                              max_size=3, unique=True))
+    return Observable(dict.fromkeys(monomials, _SERIES_ONE))
+
+
+@settings(deadline=None, max_examples=80)
+@given(unit_observables(), st.one_of(observables(), unit_observables()), st.booleans())
+def test_kernels_on_unit_coefficients_equal_the_oracles(u, f, unit_first):
+    # Multiplying by the unit series returns the other factor itself.
+    assert all(s is _SERIES_ONE for s in u.terms.values())
+    for s in f.terms.values():
+        assert _SERIES_ONE * s is s is s * _SERIES_ONE
+        assert s == oracles.series_product(_SERIES_ONE, s)
+    a, b = (u, f) if unit_first else (f, u)
+    ab, ba = oracles.star_product(a, b), oracles.star_product(b, a)
+    assert _product(a, b) == ab
+    assert _product(a, b, _commuted) == oracles.difference(ab, ba)
+    assert _product(a, b, _symmetrized) == scale(Fraction(1, 2), ab + ba)
+    assert _product(a, b, _concatenated) == oracles.symbol_product(a, b)
+    ab, ba = oracles.ordered_poisson(a, b), oracles.ordered_poisson(b, a)
+    assert _classical_part(a, b, _reordered) == ab
+    assert _classical_part(a, b, _commuted) == ab + ba
+    assert _classical_part(a, b, _symmetrized) == scale(
+        Fraction(1, 2), oracles.difference(ab, ba))
+    assert _classical_part(a, b, _concatenated) == oracles.normal_bracket_classical(a, b)
+    for result in (_product(a, b), _classical_part(a, b, _reordered)):
+        assert_canonical(result)
 
 
 def test_empty_results_are_the_shared_zero():

@@ -6,6 +6,7 @@ brackets from partial derivatives and both full operator products, and the
 product from the standard-ordered star product on symbols.
 """
 
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -17,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 from qcbracket import (
     BracketKind,
     HbarSeries,
+    Observable,
     ScanConfig,
     aleksandrov_bracket,
+    jacobi_residual,
+    monomial_observable,
     normal_bracket,
     normal_bracket_classical,
     ordered_poisson,
@@ -86,10 +90,16 @@ _ORACLES = {
 }
 
 
+def _oracle_jacobi(kind, a, b, c):
+    """Jacobi from the oracle brackets, with no shortcut for repeated arguments."""
+    return brackets.ResidualReport(oracles.jacobi(_ORACLES[kind], a, b, c))
+
+
 def _oracle_scan(monkeypatch, config):
     with monkeypatch.context() as patch:
         for kind, fn in _ORACLES.items():
             patch.setitem(brackets._DISPATCH, kind, fn)
+        patch.setattr(explorer, "jacobi_residual", _oracle_jacobi)
         return scan(config, jobs=1)
 
 
@@ -126,19 +136,26 @@ def test_the_pair_table_holds_only_pairs_of_scanned_monomials(monkeypatch):
                         max_degree=2, include_zero=True)
     expected = _oracle_scan(monkeypatch, config)
     monos = explorer._sector_monomials(config.max_degree, config.sector)
-    tables = []
+    states, scanned = [], []
     evaluate = explorer._evaluate
 
-    def evaluate_and_keep(*args):
-        tables.append(brackets._PAIR_TABLE.get())
-        return evaluate(*args)
+    def evaluate_and_keep(config, monos, observables, idx):
+        states.append(brackets._PAIR_TABLE.get())
+        scanned.append(observables)
+        return evaluate(config, monos, observables, idx)
 
     monkeypatch.setattr(explorer, "_evaluate", evaluate_and_keep)
     assert scan(config, jobs=1) == expected
-    table = tables[-1]
-    assert all(t is table for t in tables)
-    assert list(table) == list(product([config.kind], monos, monos))
-    assert all(value is not None for value in table.values())
+    state, observables = states[-1], scanned[-1]
+    assert all(s is state for s in states) and all(o is observables for o in scanned)
+    # The scanned objects are the coefficient-1 monomials, in scan order.
+    assert [o.terms for o in observables] == [{m: algebra._SERIES_ONE} for m in monos]
+    kind, table = state
+    assert kind is config.kind
+    assert list(table) == list(product(map(id, observables), repeat=2))
+    values = iter(table.values())
+    for a, b in product(observables, repeat=2):
+        assert next(values) == _ORACLES[kind](a, b)
 
 
 def test_no_pair_table_is_live_outside_a_scan(monkeypatch):
@@ -155,7 +172,8 @@ def test_no_pair_table_is_live_outside_a_scan(monkeypatch):
     monkeypatch.setattr(brackets, "_product", failing_product)
     with pytest.raises(ZeroDivisionError):
         scan(config)
-    assert len(seen) == 1 and not any(seen[0].values())
+    assert len(seen) == 1 and seen[0][0] is config.kind
+    assert len(seen[0][1]) == 5 ** 2 and not any(seen[0][1].values())
     assert brackets._PAIR_TABLE.get() is None
 
 
@@ -193,6 +211,29 @@ def test_scans_in_threads_each_have_their_own_table(monkeypatch):
     assert results == expected
     assert len(tables) == len(configs)
     assert all(len(idents) == 1 for _, idents in tables.values())
+
+
+@pytest.mark.parametrize("kind", list(BracketKind))
+def test_jacobi_on_a_repeated_argument_equals_the_oracle_jacobi(kind):
+    # One object in two places, in each of the three ways, and an equal copy
+    # that is another object; on random observables and on unit monomials as
+    # a scan has them.  Poisson is not antisymmetric on mixed inputs, so its
+    # residual must be computed, and some are nonzero.
+    rng = random.Random(kind.value)
+    monos = explorer.enumerate_monomials(3)
+    nonzero = 0
+    for seed in range(12):
+        pairs = [(random_observable(seed, 3, 3), random_observable(seed + 100, 3, 3)),
+                 tuple(monomial_observable(m) for m in rng.sample(monos, 2))]
+        for a, c in pairs:
+            copy = Observable(a.terms)
+            assert copy == a and copy is not a
+            for triple in ((a, a, c), (c, a, a), (a, c, a),
+                           (a, copy, c), (c, a, copy), (copy, c, a)):
+                residual = jacobi_residual(kind, *triple).residual
+                assert residual == oracles.jacobi(_ORACLES[kind], *triple)
+                nonzero += bool(residual)
+    assert bool(nonzero) == (kind is BracketKind.POISSON)
 
 
 # --- the operator product ----------------------------------------------------------

@@ -22,8 +22,8 @@ from qcbracket import (
 )
 from qcbracket import explorer
 from qcbracket.explorer import (
-    IDENTITIES, SCAN_TRIPLE_CAP, SECTORS, _index_triples, _sector_monomials,
-    _sector_size, _triple_count)
+    IDENTITIES, RANDOM_POOL_CAP, SCAN_TRIPLE_CAP, SECTORS, _index_triples,
+    _sector_monomials, _sector_size, _triple_count)
 from oracles import build
 
 ALEKSANDROV = BracketKind.ALEKSANDROV
@@ -73,13 +73,22 @@ def test_scan_config_validation():
             ScanConfig(kind=NORMAL, max_degree=max_degree)
 
 
+def test_sector_monomials_are_the_enumeration_filtered():
+    # A pure sector is listed directly, in the order of the full enumeration.
+    keep = {"all": lambda m: True, "classical": lambda m: not (m[2] or m[3]),
+            "quantum": lambda m: not (m[0] or m[1])}
+    for degree, sector in product(range(6), SECTORS):
+        expected = [m for m in enumerate_monomials(degree) if keep[sector](m)]
+        assert _sector_monomials(degree, sector) == expected, (degree, sector)
+
+
 def test_triple_count_matches_the_enumeration():
     for kind, identity, sector, degree in product(
             BracketKind, IDENTITIES, SECTORS, range(4)):
         config = ScanConfig(kind=kind, identity=identity, max_degree=degree,
                             sector=sector)
         count = len(_sector_monomials(degree, sector))
-        assert _sector_size(config) == count, config
+        assert _sector_size(degree, sector) == count, config
         walked = sum(1 for _ in _index_triples(config, count))
         assert _triple_count(config, count) == walked, config
 
@@ -87,7 +96,7 @@ def test_triple_count_matches_the_enumeration():
 def test_scan_triple_cap():
     assert SCAN_TRIPLE_CAP == 10**7
     leibniz_6 = ScanConfig(kind=NORMAL, identity="leibniz", max_degree=6)
-    assert _triple_count(leibniz_6, _sector_size(leibniz_6)) == 210 ** 3 <= SCAN_TRIPLE_CAP
+    assert _triple_count(leibniz_6, _sector_size(6, "all")) == 210 ** 3 <= SCAN_TRIPLE_CAP
     # The largest monomial count is never enumerated: the cap comes first.
     for degree, identity in ((7, "leibniz"), (10, "leibniz"), (10**6, "jacobi")):
         config = ScanConfig(kind=NORMAL, identity=identity, max_degree=degree)
@@ -300,6 +309,39 @@ def test_random_observable_rejects_empty_budget():
             random_observable(0, max_terms=bad)
     with pytest.raises(ValueError, match="unknown sector 'bosonic'"):
         random_observable(0, sector="bosonic")
+
+
+def test_random_observable_pool_cap(monkeypatch):
+    # Every draw under the cap is unchanged: the same seed gives the same value.
+    assert random_observable(7) == build({(0, 1, 0, 0): {0: ((8, 7), -4)},
+                                          (0, 1, 1, 0): {2: (-1, 9)},
+                                          (1, 0, 0, 2): {0: (-1, 2)}})
+    assert random_observable(3, 2, 2, sector="quantum") == build(
+        {(0, 0, 1, 1): {1: (3, (-9, 8))}})
+    assert RANDOM_POOL_CAP == 10**6
+    # The largest pools allowed, counted without listing them.
+    assert _sector_size(67, "all") <= RANDOM_POOL_CAP < _sector_size(68, "all")
+    assert _sector_size(1412, "quantum") <= RANDOM_POOL_CAP < _sector_size(1413, "quantum")
+
+    def no_listing(max_degree, sector):
+        raise AssertionError("monomials listed past the cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(explorer, "_sector_monomials", no_listing)
+        for degree, sector in ((68, "all"), (1413, "classical"), (600, "all")):
+            size = _sector_size(degree, sector)
+            with pytest.raises(ValueError, match=f"pool of {size} monomials exceeds "
+                                                 "the cap of 1000000"):
+                random_observable(0, degree, sector=sector)
+    # At the edge of a smaller cap: a pool of exactly the cap draws as before.
+    for cap, degree, sector in ((35, 3, "all"), (28, 6, "quantum")):
+        expected = random_observable(5, degree, sector=sector)
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "RANDOM_POOL_CAP", cap)
+            assert _sector_size(degree, sector) == cap
+            assert random_observable(5, degree, sector=sector) == expected
+            with pytest.raises(ValueError, match=f"exceeds the cap of {cap}"):
+                random_observable(5, degree + 1, sector=sector)
 
 
 # --- axiom sweeps ----------------------------------------------------------------
