@@ -65,6 +65,8 @@ class GaussianRational(_Frozen):
     __slots__ = ("_a", "_b", "_d")
 
     def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"parts must be ints or Fractions, not {re!r} and {im!r}")
         re, im = Fraction(re), Fraction(im)
         d = lcm(re.denominator, im.denominator)
         return _gr(re.numerator * (d // re.denominator),

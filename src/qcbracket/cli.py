@@ -89,7 +89,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 "triple": [format_observable(monomial_observable(m))
                            for m in rec.triple],
                 "residual": OutputRecord.from_observable(rec.residual).as_dict(),
-                "min_hbar_degree": rec.residual_min_hbar_degree,
+                "min_hbar_degree": rec.residual.min_hbar_degree(),
             }
             for rec in records]
         print(json.dumps(payload))
@@ -100,7 +100,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             degree = sum(map(sum, rec.triple))
             print(f"degree={degree} triple=({triple})"
                   f" residual={format_observable(rec.residual)}"
-                  f" min-hbar-degree={rec.residual_min_hbar_degree}")
+                  f" min-hbar-degree={rec.residual.min_hbar_degree()}")
         print(f"violations: {len(records)}")
     return 1 if records else 0
 

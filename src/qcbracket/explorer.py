@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .algebra import (
     GaussianRational,
@@ -56,7 +56,6 @@ class ScanConfig:
     identity: str = "jacobi"
     max_degree: int = 3
     sector: str = "all"
-    include_zero: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, BracketKind):
@@ -77,11 +76,6 @@ class ViolationRecord:
 
     triple: tuple[Monomial, Monomial, Monomial]
     residual: Observable
-
-    @property
-    def residual_min_hbar_degree(self) -> int:
-        """The residual's lowest power of hbar; 0 for a zero residual."""
-        return self.residual.min_hbar_degree() or 0
 
 
 def enumerate_monomials(max_degree: int) -> list[Monomial]:
@@ -134,37 +128,26 @@ def _triple_count(config: ScanConfig, count: int) -> int:
     return count ** 3
 
 
-def _evaluate(config: ScanConfig, monos: Sequence[Monomial],
-              observables: Sequence[Observable],
-              idx: tuple[int, int, int]) -> ViolationRecord | None:
-    a, b, c = (observables[i] for i in idx)
-    if config.identity == "jacobi":
-        report = jacobi_residual(config.kind, a, b, c)
-    else:
-        report = leibniz_residual(config.kind, a, b, c)
-    residual = report.residual
-    if not residual:
-        if not config.include_zero:
-            return None
-    elif not residual.min_hbar_degree():
-        # The classical limit guarantees violations are O(hbar); anything
-        # else means the algebra itself is broken.
-        raise RuntimeError(
-            f"residual for {idx} has hbar-free content; internal failure")
-    return ViolationRecord(tuple(monos[i] for i in idx), residual)
-
-
 def _scan_range(config: ScanConfig, lo: int, hi: int) -> list[ViolationRecord]:
     # Workers re-derive their span of the triple enumeration; only
     # (config, lo, hi) crosses the process boundary on the way in.
     monos = _sector_monomials(config.max_degree, config.sector)
     observables = [monomial_observable(m) for m in monos]
+    # Looked up when the range runs, so a rebinding of these module globals holds.
+    residual_of = jacobi_residual if config.identity == "jacobi" else leibniz_residual
     out = []
     with _pair_table(config.kind, observables):
-        for idx in islice(_index_triples(config, len(monos)), lo, hi):
-            hit = _evaluate(config, monos, observables, idx)
-            if hit is not None:
-                out.append(hit)
+        for i, j, k in islice(_index_triples(config, len(monos)), lo, hi):
+            a, b, c = observables[i], observables[j], observables[k]
+            residual = residual_of(config.kind, a, b, c).residual
+            if not residual:
+                continue
+            if not residual.min_hbar_degree():
+                # The classical limit guarantees violations are O(hbar);
+                # anything else means the algebra itself is broken.
+                raise RuntimeError(
+                    f"residual for {(i, j, k)} has hbar-free content; internal failure")
+            out.append(ViolationRecord((monos[i], monos[j], monos[k]), residual))
     return out
 
 

@@ -57,6 +57,6 @@ CENSUS = {
 def test_violation_counts_per_cell(kind, identity, sector, max_degree):
     records = scan(ScanConfig(kind=kind, identity=identity,
                               max_degree=max_degree, sector=sector))
-    cells = Counter((sum(map(sum, rec.triple)), rec.residual_min_hbar_degree)
+    cells = Counter((sum(map(sum, rec.triple)), rec.residual.min_hbar_degree())
                     for rec in records)
     assert cells == CENSUS[kind, identity, sector, max_degree]

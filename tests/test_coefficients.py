@@ -1,6 +1,7 @@
 """GaussianRational, the integer-triple coefficient, against its Fraction oracle."""
 
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -106,3 +107,13 @@ def test_parts_read_back_as_fractions_in_lowest_terms():
     assert (value.re.denominator, value.im.denominator) == (4, 6)
     assert GaussianRational(re=2, im=Fraction(1, 2)) == GaussianRational(
         2, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("part", [0.1, "1/3", Decimal("0.1"), 1e300])
+def test_a_part_that_is_not_an_int_or_fraction_raises(part):
+    # Fraction() would take each of these, a float as its binary value and a
+    # string by parsing it; the other scalar entry points refuse them too.
+    for args, kwargs in (((part,), {}), ((1, part), {}), ((), {"re": part}),
+                         ((), {"im": part})):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            GaussianRational(*args, **kwargs)

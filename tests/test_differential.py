@@ -115,39 +115,43 @@ def _assert_scans_equal_the_oracle_scan(monkeypatch, config):
                                   BracketKind.COMMUTATOR, BracketKind.POISSON])
 @pytest.mark.parametrize("identity", ["jacobi", "leibniz"])
 def test_scan_records_equal_the_oracle_scan(monkeypatch, kind, identity):
-    # include_zero lists every triple, so every residual is compared.
+    # A triple missing from both violation lists has a zero residual on both
+    # sides, so equal lists mean equal residuals on every triple.
     for sector in SECTORS:
-        config = ScanConfig(kind=kind, identity=identity, max_degree=2,
-                            sector=sector, include_zero=True)
+        config = ScanConfig(kind=kind, identity=identity, max_degree=2, sector=sector)
         _assert_scans_equal_the_oracle_scan(monkeypatch, config)
 
 
 @pytest.mark.parametrize("kind", [BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER])
 def test_degree_3_jacobi_scans_equal_the_oracle_scan(monkeypatch, kind):
-    config = ScanConfig(kind=kind, identity="jacobi", max_degree=3,
-                        include_zero=True)
+    config = ScanConfig(kind=kind, identity="jacobi", max_degree=3)
     _assert_scans_equal_the_oracle_scan(monkeypatch, config)
 
 
 def test_the_pair_table_holds_only_pairs_of_scanned_monomials(monkeypatch):
     # Leibniz brackets a*b, a monomial of up to twice the scanned degree,
     # with c: those pairs are computed each time, never stored.
-    config = ScanConfig(kind=BracketKind.NORMAL_ORDER, identity="leibniz",
-                        max_degree=2, include_zero=True)
+    config = ScanConfig(kind=BracketKind.NORMAL_ORDER, identity="leibniz", max_degree=2)
     expected = _oracle_scan(monkeypatch, config)
     monos = explorer._sector_monomials(config.max_degree, config.sector)
     states, scanned = [], []
-    evaluate = explorer._evaluate
+    pair_table, leibniz = explorer._pair_table, explorer.leibniz_residual
 
-    def evaluate_and_keep(config, monos, observables, idx):
-        states.append(brackets._PAIR_TABLE.get())
+    def pair_table_and_keep(kind, observables):
         scanned.append(observables)
-        return evaluate(config, monos, observables, idx)
+        return pair_table(kind, observables)
 
-    monkeypatch.setattr(explorer, "_evaluate", evaluate_and_keep)
+    def leibniz_and_keep(*args):
+        states.append(brackets._PAIR_TABLE.get())
+        return leibniz(*args)
+
+    monkeypatch.setattr(explorer, "_pair_table", pair_table_and_keep)
+    monkeypatch.setattr(explorer, "leibniz_residual", leibniz_and_keep)
     assert scan(config, jobs=1) == expected
+    # One table, entered once, live for every one of the 15^3 triples.
+    assert len(scanned) == 1 and len(states) == len(monos) ** 3 == 3375
     state, observables = states[-1], scanned[-1]
-    assert all(s is state for s in states) and all(o is observables for o in scanned)
+    assert state is not None and all(s is state for s in states)
     # The scanned objects are the coefficient-1 monomials, in scan order.
     assert [o.terms for o in observables] == [{m: algebra._SERIES_ONE} for m in monos]
     kind, table = state
@@ -180,18 +184,18 @@ def test_no_pair_table_is_live_outside_a_scan(monkeypatch):
 def test_scans_in_threads_each_have_their_own_table(monkeypatch):
     # More threads than cores, switching often: a table shared between two
     # scans would show as one table seen from two threads.
-    configs = [ScanConfig(kind=kind, identity="leibniz", max_degree=1,
-                          include_zero=True) for kind in BracketKind] * 2
+    configs = [ScanConfig(kind=kind, identity="leibniz", max_degree=1)
+               for kind in BracketKind] * 2
     expected = [scan(config) for config in configs]
     tables = {}
-    evaluate = explorer._evaluate
+    leibniz = explorer.leibniz_residual
 
-    def evaluate_and_note(*args):
+    def leibniz_and_note(*args):
         table = brackets._PAIR_TABLE.get()
         tables.setdefault(id(table), (table, set()))[1].add(threading.get_ident())
-        return evaluate(*args)
+        return leibniz(*args)
 
-    monkeypatch.setattr(explorer, "_evaluate", evaluate_and_note)
+    monkeypatch.setattr(explorer, "leibniz_residual", leibniz_and_note)
     results = [None] * len(configs)
 
     def run(i):

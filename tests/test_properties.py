@@ -183,6 +183,50 @@ def test_sector_factorization_axioms(kind, c, q, c2, q2):
     assert second.is_zero
 
 
+# --- grading and charges --------------------------------------------------------
+
+def _grades(a):
+    """The grades n_x + n_k + n_q + n_p + 2*hbar of the terms of ``a``."""
+    return {sum(m) + 2 * h for m, series in a.terms.items() for h in series.terms}
+
+
+def _charges(a):
+    """The charges (n_x - n_k, n_q - n_p) of the monomials of ``a``."""
+    return {(m[0] - m[1], m[2] - m[3]) for m in a.terms}
+
+
+@st.composite
+def graded(draw, max_terms=3):
+    """A nonzero observable whose terms, of degree <= 3 and hbar-degree <= 2,
+    all have one grade; with max_terms=1, a monomial."""
+    grade = draw(st.integers(0, 6))
+    pool = [m for m in enumerate_monomials(3)
+            if sum(m) <= grade and (grade - sum(m)) % 2 == 0 and grade - sum(m) <= 4]
+    monomials = draw(st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=max_terms, unique=True))
+    nonzero = rationals.filter(bool)
+    return Observable({m: HbarSeries({(grade - sum(m)) // 2: GaussianRational(
+        draw(nonzero), draw(rationals))}) for m in monomials})
+
+
+@settings(deadline=None)
+@given(graded(), graded())
+def test_products_and_brackets_add_grades(a, b):
+    (grade,) = {g + h for g in _grades(a) for h in _grades(b)}
+    assert _grades(a * b) == {grade}
+    for kind in BracketKind:
+        assert _grades(bracket(kind, a, b)) <= {grade - 2}, kind
+
+
+@settings(deadline=None)
+@given(graded(max_terms=1), graded(max_terms=1))
+def test_products_and_brackets_add_charges(a, b):
+    (charge,) = {(c1 + c2, d1 + d2) for c1, d1 in _charges(a) for c2, d2 in _charges(b)}
+    assert _charges(a * b) == {charge}
+    for kind in BracketKind:
+        assert _charges(bracket(kind, a, b)) <= {charge}, kind
+
+
 # --- text round-trip -----------------------------------------------------------
 
 @settings(deadline=None)
