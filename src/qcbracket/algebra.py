@@ -106,10 +106,7 @@ class GaussianRational(_Frozen):
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return (_make_gr if d1 == 1 else _gr)(self._a - other._a, self._b - other._b, d1)
-        return _gr(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
+        return self + (-other)
 
     def __neg__(self) -> "GaussianRational":
         return _make_gr(-self._a, -self._b, self._d)

@@ -44,7 +44,8 @@ SCAN_TRIPLE_CAP = 10**7
 # An axiom sweep past this many quadruples is refused before any is drawn;
 # at about 1.1 ms a quadruple that is an 18-minute run.
 AXIOM_SAMPLE_CAP = 10**6
-# random_observable refuses a monomial pool past this size before listing it.
+# random_observable refuses a monomial pool past this size before drawing, which
+# bounds the grade walk in _monomial.
 RANDOM_POOL_CAP = 10**6
 
 
@@ -78,27 +79,40 @@ class ViolationRecord:
     residual: Observable
 
 
-def enumerate_monomials(max_degree: int) -> list[Monomial]:
-    """All exponent vectors of total degree <= max_degree.
+def _monomial(index: int, sector: str) -> Monomial:
+    """The ``index``-th monomial of ``sector`` in graded-lexicographic order.
 
-    Graded-lexicographic: grade ascending, then (n_x, n_k, n_q, n_p)
-    lexicographically ascending within each grade.
+    Grade ascending, then (n_x, n_k, n_q, n_p) lexicographically ascending;
+    a pure sector keeps that order.  Each exponent is found by counting the
+    monomials before it, so none is listed.
     """
-    out: list[Monomial] = []
-    for d in range(max_degree + 1):
-        for n_x in range(d + 1):
-            for n_k in range(d - n_x + 1):
-                for n_q in range(d - n_x - n_k + 1):
-                    out.append((n_x, n_k, n_q, d - n_x - n_k - n_q))
-    return out
+    variables = 4 if sector == "all" else 2
+    degree = 0
+    while index >= (size := comb(degree + variables - 1, variables - 1)):
+        index -= size
+        degree += 1
+    exponents = []
+    for rest in range(variables - 1, 0, -1):
+        # C(degree - e + rest - 1, rest - 1) monomials of this grade lead with e.
+        e = 0
+        while index >= (size := comb(degree - e + rest - 1, rest - 1)):
+            index -= size
+            e += 1
+        exponents.append(e)
+        degree -= e
+    exponents.append(degree)
+    if sector == "all":
+        return tuple(exponents)
+    return (*exponents, 0, 0) if sector == "classical" else (0, 0, *exponents)
 
 
 def _sector_monomials(max_degree: int, sector: str) -> list[Monomial]:
-    # A pure sector's monomials in enumeration order, without listing the others.
-    if sector == "all":
-        return enumerate_monomials(max_degree)
-    pairs = ((n, d - n) for d in range(max_degree + 1) for n in range(d + 1))
-    return [(a, b, 0, 0) if sector == "classical" else (0, 0, a, b) for a, b in pairs]
+    return [_monomial(i, sector) for i in range(_sector_size(max_degree, sector))]
+
+
+def enumerate_monomials(max_degree: int) -> list[Monomial]:
+    """All exponent vectors of total degree <= max_degree, in ``_monomial``'s order."""
+    return _sector_monomials(max_degree, "all")
 
 
 def _sector_size(max_degree: int, sector: str) -> int:
@@ -203,9 +217,11 @@ def _random_series(rng: random.Random) -> HbarSeries:
 
 def _random_from(rng: random.Random, max_degree: int, max_terms: int,
                  sector: str) -> Observable:
-    pool = _sector_monomials(max_degree, sector)
-    count = min(rng.randint(1, max_terms), len(pool))
-    monos = rng.sample(pool, count)
+    # sample picks positions only, so drawing them from a range and unranking
+    # each gives what a listed pool would, without listing it.
+    size = _sector_size(max_degree, sector)
+    count = min(rng.randint(1, max_terms), size)
+    monos = [_monomial(i, sector) for i in rng.sample(range(size), count)]
     # Distinct monomials with nonzero coefficients: the result cannot cancel.
     return Observable({m: _random_series(rng) for m in monos})
 

@@ -1,16 +1,17 @@
-"""The bracket kernels and the operator product against independent oracles.
+"""The bracket kernels, the scans and the operator product against the reference.
 
-The package computes every classical part in one term-pair loop and the
-commutator in one pass of the product kernel; the oracles compute the same
-brackets from partial derivatives and both full operator products, and the
-product from the standard-ordered star product on symbols.
+The package computes every classical part in one term-pair loop, the
+commutator in one pass of the product kernel, and scans behind a pair table
+with known answers skipped.  ``tests/reference.py``, which imports nothing
+from the package, computes the same brackets from partial derivatives and
+both star products, and the oracle scan below enumerates its own triples
+and computes every residual there.
 """
 
 import random
 import sys
 import threading
-from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from qcbracket import (
     HbarSeries,
     Observable,
     ScanConfig,
+    ViolationRecord,
     aleksandrov_bracket,
     jacobi_residual,
     monomial_observable,
@@ -32,8 +34,8 @@ from qcbracket import (
 )
 from qcbracket import algebra, brackets, explorer
 from qcbracket.explorer import SECTORS
-import oracles
-from oracles import build
+import reference
+from oracles import from_reference, to_reference
 
 
 @st.composite
@@ -50,17 +52,24 @@ def observables(draw, sector=None):
 @settings(deadline=None, max_examples=300)
 @given(observables(), observables())
 def test_brackets_equal_the_partials_and_products_oracle(a, b):
-    assert quantum_bracket(a, b) == oracles.quantum_bracket(a, b)
-    assert ordered_poisson(a, b) == oracles.ordered_poisson(a, b)
-    assert aleksandrov_bracket(a, b) == oracles.aleksandrov_bracket(a, b)
-    assert normal_bracket_classical(a, b) == oracles.normal_bracket_classical(a, b)
-    assert normal_bracket(a, b) == oracles.normal_bracket(a, b)
+    ra, rb = to_reference(a), to_reference(b)
+    assert to_reference(quantum_bracket(a, b)) == reference.commutator(ra, rb)
+    assert to_reference(ordered_poisson(a, b)) == reference.poisson(ra, rb)
+    assert to_reference(aleksandrov_bracket(a, b)) == reference.aleksandrov(ra, rb)
+    assert to_reference(normal_bracket_classical(a, b)) == reference.normal_classical(ra, rb)
+    assert to_reference(normal_bracket(a, b)) == reference.normal(ra, rb)
 
 
 def _reordering_terms(t, r):
     """{j: coefficient} of every term of p^t q^r, j = 0 included, by literal swaps."""
-    word = oracles.swap_normal_form(t, r)
-    return {r - m[2]: c for m, c in word.terms.items()}
+    out = {}
+    for (_, _, n_q, _, h), c in reference.swaps(t, r).items():
+        out.setdefault(r - n_q, {})[(0, 0, 0, 0, h)] = c
+    return out
+
+
+def _table(terms):
+    return [(j, to_reference(w)) for j, w in terms]
 
 
 def test_word_tables_match_the_swap_oracle():
@@ -68,71 +77,82 @@ def test_word_tables_match_the_swap_oracle():
     assert algebra._concatenated(3, 1, 2, 4) == ((0, HbarSeries(1)),)
     for t1, r2 in product(range(5), repeat=2):
         written = _reordering_terms(t1, r2)
-        assert algebra._reordered(t1, 3, 2, r2) == tuple(sorted(written.items()))
+        assert _table(algebra._reordered(t1, 3, 2, r2)) == sorted(written.items())
         for t2, r1 in product(range(4), repeat=2):
             reverse = _reordering_terms(t2, r1)
-            mean = {j: (written.get(j, HbarSeries()) + reverse.get(j, HbarSeries()))
-                    * Fraction(1, 2) for j in written.keys() | reverse.keys()}
-            assert algebra._symmetrized(t1, r1, t2, r2) == tuple(sorted(mean.items()))
-            difference = {j: written.get(j, HbarSeries()) - reverse.get(j, HbarSeries())
-                          for j in written.keys() | reverse.keys()}
-            commuted = algebra._commuted(t1, r1, t2, r2)
-            assert commuted == tuple(sorted((j, w) for j, w in difference.items() if w))
+            js = sorted(written.keys() | reverse.keys())
+            mean = [(j, reference.divided(reference.add(written.get(j, {}),
+                                                        reverse.get(j, {})), 2)) for j in js]
+            assert _table(algebra._symmetrized(t1, r1, t2, r2)) == mean
+            difference = [(j, reference.sub(written.get(j, {}), reverse.get(j, {})))
+                          for j in js]
+            commuted = _table(algebra._commuted(t1, r1, t2, r2))
+            assert commuted == [(j, w) for j, w in difference if w]
             assert all(j for j, _ in commuted)
 
 
-# The bracket functions with no pair table in front of them.
-_ORACLES = {
-    BracketKind.POISSON: oracles.ordered_poisson,
-    BracketKind.COMMUTATOR: oracles.quantum_bracket,
-    BracketKind.ALEKSANDROV: oracles.aleksandrov_bracket,
-    BracketKind.NORMAL_ORDER: oracles.normal_bracket,
-}
+def _oracle_scan(config):
+    """The records of ``config`` with every triple enumerated and evaluated here.
+
+    Jacobi of an antisymmetric bracket is unchanged by a cyclic shift of its
+    arguments and changes sign under a swap, so one sorted triple stands for
+    its orbit.  Poisson is antisymmetric on the classical sector alone.
+    """
+    in_sector = reference.IN_SECTOR[config.sector]
+    monos = [m for m in reference.monomials(config.max_degree) if in_sector(m)]
+    values = [{m + (0,): (1, 0)} for m in monos]
+    bracket = reference.BRACKETS[config.kind.value]
+    if config.identity == "leibniz":
+        identity, triples = reference.leibniz, product(range(len(monos)), repeat=3)
+    else:
+        identity = reference.jacobi
+        if config.kind is BracketKind.POISSON and config.sector != "classical":
+            triples = product(range(len(monos)), repeat=3)
+        else:
+            triples = combinations_with_replacement(range(len(monos)), 3)
+    records = []
+    for i, j, k in triples:
+        residual = identity(bracket, values[i], values[j], values[k])
+        if residual:
+            records.append(((monos[i], monos[j], monos[k]), residual))
+    # Grouped by total degree, in enumeration order within each degree.
+    records.sort(key=lambda rec: sum(map(sum, rec[0])))
+    return records
 
 
-def _oracle_jacobi(kind, a, b, c):
-    """Jacobi from the oracle brackets, with no shortcut for repeated arguments."""
-    return brackets.ResidualReport(oracles.jacobi(_ORACLES[kind], a, b, c))
+def _as_reference(records):
+    return [(rec.triple, to_reference(rec.residual)) for rec in records]
 
 
-def _oracle_scan(monkeypatch, config):
-    with monkeypatch.context() as patch:
-        for kind, fn in _ORACLES.items():
-            patch.setitem(brackets._DISPATCH, kind, fn)
-        patch.setattr(explorer, "jacobi_residual", _oracle_jacobi)
-        return scan(config, jobs=1)
-
-
-def _assert_scans_equal_the_oracle_scan(monkeypatch, config):
-    serial = scan(config, jobs=1)
-    parallel = scan(config, jobs=2)
-    expected = _oracle_scan(monkeypatch, config)
-    assert serial == expected
-    assert parallel == expected
+def _assert_scans_equal_the_oracle_scan(config):
+    expected = _oracle_scan(config)
+    assert _as_reference(scan(config, jobs=1)) == expected
+    assert _as_reference(scan(config, jobs=2)) == expected
 
 
 @pytest.mark.parametrize("kind", [BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER,
                                   BracketKind.COMMUTATOR, BracketKind.POISSON])
 @pytest.mark.parametrize("identity", ["jacobi", "leibniz"])
-def test_scan_records_equal_the_oracle_scan(monkeypatch, kind, identity):
+def test_scan_records_equal_the_oracle_scan(kind, identity):
     # A triple missing from both violation lists has a zero residual on both
     # sides, so equal lists mean equal residuals on every triple.
     for sector in SECTORS:
         config = ScanConfig(kind=kind, identity=identity, max_degree=2, sector=sector)
-        _assert_scans_equal_the_oracle_scan(monkeypatch, config)
+        _assert_scans_equal_the_oracle_scan(config)
 
 
 @pytest.mark.parametrize("kind", [BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER])
-def test_degree_3_jacobi_scans_equal_the_oracle_scan(monkeypatch, kind):
+def test_degree_3_jacobi_scans_equal_the_oracle_scan(kind):
     config = ScanConfig(kind=kind, identity="jacobi", max_degree=3)
-    _assert_scans_equal_the_oracle_scan(monkeypatch, config)
+    _assert_scans_equal_the_oracle_scan(config)
 
 
 def test_the_pair_table_holds_only_pairs_of_scanned_monomials(monkeypatch):
     # Leibniz brackets a*b, a monomial of up to twice the scanned degree,
     # with c: those pairs are computed each time, never stored.
     config = ScanConfig(kind=BracketKind.NORMAL_ORDER, identity="leibniz", max_degree=2)
-    expected = _oracle_scan(monkeypatch, config)
+    expected = [ViolationRecord(triple, from_reference(residual))
+                for triple, residual in _oracle_scan(config)]
     monos = explorer._sector_monomials(config.max_degree, config.sector)
     states, scanned = [], []
     pair_table, leibniz = explorer._pair_table, explorer.leibniz_residual
@@ -159,7 +179,8 @@ def test_the_pair_table_holds_only_pairs_of_scanned_monomials(monkeypatch):
     assert list(table) == list(product(map(id, observables), repeat=2))
     values = iter(table.values())
     for a, b in product(observables, repeat=2):
-        assert next(values) == _ORACLES[kind](a, b)
+        expected = reference.BRACKETS[kind.value](to_reference(a), to_reference(b))
+        assert to_reference(next(values)) == expected
 
 
 def test_no_pair_table_is_live_outside_a_scan(monkeypatch):
@@ -235,7 +256,9 @@ def test_jacobi_on_a_repeated_argument_equals_the_oracle_jacobi(kind):
             for triple in ((a, a, c), (c, a, a), (a, c, a),
                            (a, copy, c), (c, a, copy), (copy, c, a)):
                 residual = jacobi_residual(kind, *triple).residual
-                assert residual == oracles.jacobi(_ORACLES[kind], *triple)
+                expected = reference.jacobi(reference.BRACKETS[kind.value],
+                                            *map(to_reference, triple))
+                assert to_reference(residual) == expected
                 nonzero += bool(residual)
     assert bool(nonzero) == (kind is BracketKind.POISSON)
 
@@ -245,18 +268,14 @@ def test_jacobi_on_a_repeated_argument_equals_the_oracle_jacobi(kind):
 @settings(deadline=None, max_examples=200)
 @given(observables(), observables())
 def test_product_equals_the_star_product(f, g):
-    assert f * g == oracles.star_product(f, g)
+    assert to_reference(f * g) == reference.star(to_reference(f), to_reference(g))
 
 
 def test_star_product_hand_values():
-    q = build({(0, 0, 1, 0): {0: (1, 0)}})
-    p = build({(0, 0, 0, 1): {0: (1, 0)}})
-    qp = build({(0, 0, 1, 1): {0: (1, 0)}})
-    assert oracles.star_product(q, p) == qp
+    q, p = {(0, 0, 1, 0, 0): (1, 0)}, {(0, 0, 0, 1, 0): (1, 0)}
+    assert reference.star(q, p) == {(0, 0, 1, 1, 0): (1, 0)}
     # p q = q p - i*hbar;  p^2 q^2 = q^2 p^2 - 4i*hbar q p - 2*hbar^2.
-    assert oracles.star_product(p, q) == build({
-        (0, 0, 1, 1): {0: (1, 0)}, (0, 0, 0, 0): {1: (0, -1)}})
-    p2, q2 = oracles.star_product(p, p), oracles.star_product(q, q)
-    assert oracles.star_product(p2, q2) == build({
-        (0, 0, 2, 2): {0: (1, 0)}, (0, 0, 1, 1): {1: (0, -4)},
-        (0, 0, 0, 0): {2: (-2, 0)}})
+    assert reference.star(p, q) == {(0, 0, 1, 1, 0): (1, 0), (0, 0, 0, 0, 1): (0, -1)}
+    p2, q2 = reference.star(p, p), reference.star(q, q)
+    assert reference.star(p2, q2) == {
+        (0, 0, 2, 2, 0): (1, 0), (0, 0, 1, 1, 1): (0, -4), (0, 0, 0, 0, 2): (-2, 0)}

@@ -3,6 +3,8 @@
 import concurrent.futures
 import dataclasses
 import pickle
+import random
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -23,7 +25,8 @@ from qcbracket import (
 from qcbracket import explorer
 from qcbracket.explorer import (
     IDENTITIES, RANDOM_POOL_CAP, SCAN_TRIPLE_CAP, SECTORS, _index_triples,
-    _sector_monomials, _sector_size, _triple_count)
+    _monomial, _sector_monomials, _sector_size, _triple_count)
+import reference
 from oracles import build
 
 ALEKSANDROV = BracketKind.ALEKSANDROV
@@ -76,12 +79,15 @@ def test_scan_config_validation():
 
 
 def test_sector_monomials_are_the_enumeration_filtered():
-    # A pure sector is listed directly, in the order of the full enumeration.
-    keep = {"all": lambda m: True, "classical": lambda m: not (m[2] or m[3]),
-            "quantum": lambda m: not (m[0] or m[1])}
-    for degree, sector in product(range(6), SECTORS):
-        expected = [m for m in enumerate_monomials(degree) if keep[sector](m)]
+    # _monomial unranks each sector in the order the nested loops list.
+    for degree, sector in product(range(9), SECTORS):
+        expected = [m for m in reference.monomials(degree) if reference.IN_SECTOR[sector](m)]
         assert _sector_monomials(degree, sector) == expected, (degree, sector)
+    assert enumerate_monomials(8) == reference.monomials(8)
+    # Far along each order, the grade walk RANDOM_POOL_CAP bounds.
+    assert _monomial(_sector_size(66, "all"), "all") == (0, 0, 0, 67)
+    assert _monomial(_sector_size(67, "all") - 1, "all") == (67, 0, 0, 0)
+    assert _monomial(_sector_size(1412, "quantum") - 1, "quantum") == (0, 0, 1412, 0)
 
 
 def test_triple_count_matches_the_enumeration():
@@ -285,6 +291,28 @@ def test_random_observable_sectors():
         assert random_observable(seed, 3, 3, sector="quantum").is_quantum()
 
 
+def test_random_monomials_are_those_drawn_from_the_listed_pool():
+    # sample draws positions alone, so unranked draws equal draws from the list.
+    for seed in range(600):
+        degree, max_terms, sector = seed % 7, 1 + seed % 5, SECTORS[seed % 3]
+        pool = [m for m in reference.monomials(degree) if reference.IN_SECTOR[sector](m)]
+        rng = random.Random(seed)
+        drawn = rng.sample(pool, min(rng.randint(1, max_terms), len(pool)))
+        assert list(random_observable(seed, degree, max_terms, sector).terms) == drawn
+
+
+def test_random_observable_lists_no_pool():
+    # A listed pool of 10^6 monomials took about 80 MB.
+    tracemalloc.start()
+    try:
+        random_observable(0, 67)
+        random_observable(0, 1412, sector="quantum")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def test_random_observable_rejects_empty_budget():
     with pytest.raises(ValueError):
         random_observable(0, 3, 0)
@@ -314,11 +342,12 @@ def test_random_observable_pool_cap(monkeypatch):
     assert _sector_size(67, "all") <= RANDOM_POOL_CAP < _sector_size(68, "all")
     assert _sector_size(1412, "quantum") <= RANDOM_POOL_CAP < _sector_size(1413, "quantum")
 
-    def no_listing(max_degree, sector):
-        raise AssertionError("monomials listed past the cap")
+    def no_listing(*args):
+        raise AssertionError("monomials listed or unranked past the cap")
 
     with monkeypatch.context() as patch:
         patch.setattr(explorer, "_sector_monomials", no_listing)
+        patch.setattr(explorer, "_monomial", no_listing)
         for degree, sector in ((68, "all"), (1413, "classical"), (600, "all")):
             size = _sector_size(degree, sector)
             with pytest.raises(ValueError, match=f"pool of {size} monomials exceeds "
