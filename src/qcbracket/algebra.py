@@ -11,8 +11,9 @@ observables is bit-equality of their term maps.
 
 Products and brackets differ only in how the q,p words of two terms are
 joined.  Each join rule is one word table (``_reordered``, ``_symmetrized``,
-``_commuted``, ``_concatenated``), read by the two term-pair kernels
-``_product`` and ``_classical_part``.
+``_commuted``, ``_concatenated``), read by the one term-pair kernel
+``_product``, which multiplies the x,k factors of two terms or, for the
+classical part of a bracket, Poisson-brackets them.
 
 Values are immutable: no attribute of a ``GaussianRational``, ``HbarSeries``
 or ``Observable`` can be set or deleted (``_Frozen``).  ``HbarSeries`` and
@@ -519,71 +520,46 @@ def _commuted(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries
     return tuple((j, w) for j, w in sorted(diff.items()) if w)
 
 
-def _product(a: Observable, b: Observable, word=_reordered) -> Observable:
+def _qp_poisson(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
+    """dW1/dq dW2/dp - dW1/dp dW2/dq on commuting q, p: one j = 1 term, or none."""
+    weight = r1 * t2 - t1 * r2
+    return ((1, HbarSeries({0: weight})),) if weight else ()
+
+
+def _product(a: Observable, b: Observable, word=_reordered, poisson=False) -> Observable:
     """Sum over term pairs of c1*c2 times each term (j, w_j) of their word.
 
     For terms c1 x^n1 k^m1 q^r1 p^t1 and c2 x^n2 k^m2 q^r2 p^t2,
     ``word(t1, r1, t2, r2)`` lists every term (j, w_j) of the joined q,p word,
     j ascending; term j adds c1*c2*w_j on x^(n1+n2) k^(m1+m2) q^(r1+r2-j)
-    p^(t1+t2-j).  A j = 0 term has weight exactly 1 and adds c1*c2 as is; a
-    pair whose word has no terms costs no coefficient arithmetic.
+    p^(t1+t2-j).  With ``poisson`` the x,k factors are Poisson-bracketed
+    instead: c1*c2 is scaled by n1*m2 - m1*n2, and x, k lose one power each.
+    A j = 0 term has weight exactly 1 and adds the pair's coefficient as is;
+    a pair with no word terms or no Poisson weight costs no coefficient work.
     """
     acc: dict[Monomial, HbarSeries] = {}
     for m1, c1 in a.terms.items():
         n1, k1, r1, t1 = m1
+        if poisson and not (n1 or k1):
+            continue
+        x1, y1 = n1 - poisson, k1 - poisson  # the Poisson shift, out of the pair loop
         for m2, c2 in b.terms.items():
             n2, k2, r2, t2 = m2
+            if poisson:
+                weight = n1 * k2 - k1 * n2
+                if not weight:
+                    continue
             terms = word(t1, r1, t2, r2)
             if not terms:
                 continue
-            c12 = c1 * c2
-            n_x, n_k, n_q, n_p = n1 + n2, k1 + k2, r1 + r2, t1 + t2
+            c12 = (c1 * c2) * weight if poisson else c1 * c2
+            n_x, n_k, n_q, n_p = x1 + n2, y1 + k2, r1 + r2, t1 + t2
             for j, w in terms:
                 mono = (n_x, n_k, n_q - j, n_p - j)
                 term = c12 * w if j else c12
                 prev = acc.get(mono)
                 acc[mono] = term if prev is None else prev + term
     return _observable(acc) if acc else ZERO
-
-
-def _classical_part(a: Observable, b: Observable, word) -> Observable:
-    """Coefficient-Poisson bracket of a and b, with the q,p words joined by ``word``.
-
-    Same word contract as ``_product``; term j of the word adds
-    (n1*m2 - m1*n2) c1*c2*w_j on x^(n1+n2-1) k^(m1+m2-1) q^(r1+r2-j) p^(t1+t2-j).
-    """
-    acc: dict[Monomial, HbarSeries] = {}
-    for m1, c1 in a.terms.items():
-        n1, k1, r1, t1 = m1
-        if not (n1 or k1):
-            continue
-        for m2, c2 in b.terms.items():
-            n2, k2, r2, t2 = m2
-            weight = n1 * k2 - k1 * n2
-            if not weight:
-                continue
-            c12 = (c1 * c2) * weight
-            n_x, n_k, n_q, n_p = n1 + n2 - 1, k1 + k2 - 1, r1 + r2, t1 + t2
-            for j, w in word(t1, r1, t2, r2):
-                mono = (n_x, n_k, n_q - j, n_p - j)
-                term = c12 * w if j else c12
-                prev = acc.get(mono)
-                acc[mono] = term if prev is None else prev + term
-    return _observable(acc) if acc else ZERO
-
-
-def _partial(a: Observable, axis: int) -> Observable:
-    """Formal derivative along exponent ``axis`` (x, k, q, p = 0..3)."""
-    out: dict[Monomial, HbarSeries] = {}
-    for m, c in a.terms.items():
-        e = m[axis]
-        if e == 0:
-            continue
-        lowered = m[:axis] + (e - 1,) + m[axis + 1:]
-        term = c * e
-        prev = out.get(lowered)
-        out[lowered] = term if prev is None else prev + term
-    return _observable(out)
 
 
 def divide_by_i_hbar(a: Observable) -> Observable:
@@ -618,12 +594,7 @@ def symbol_poisson(a: Observable, b: Observable) -> Observable:
     """
     if hbar_zero(a) != a or hbar_zero(b) != b:
         raise ValueError("symbol_poisson requires hbar-free inputs")
-    return (
-        _product(_partial(a, 0), _partial(b, 1), _concatenated)
-        - _product(_partial(a, 1), _partial(b, 0), _concatenated)
-        + _product(_partial(a, 2), _partial(b, 3), _concatenated)
-        - _product(_partial(a, 3), _partial(b, 2), _concatenated)
-    )
+    return _product(a, b, _concatenated, poisson=True) + _product(a, b, _qp_poisson)
 
 
 def monomial_observable(monomial: Monomial) -> Observable:

@@ -14,10 +14,10 @@ Four candidate brackets act on mixed observables:
 The commutator is one pass of ``algebra._product`` over the antisymmetrized
 word table ``_commuted``, divided by i*hbar; the hbar-free terms of AB and BA
 are never built.  The classical parts of ``poisson``, ``aleksandrov`` and
-``normal_order`` are ``algebra._classical_part`` with the q,p words joined in
-written order (``_reordered``), as the mean of both orders
+``normal_order`` are the same kernel with ``poisson=True``, with the q,p words
+joined in written order (``_reordered``), as the mean of both orders
 (``_symmetrized``), or concatenated (``_concatenated``).  This module only
-defines brackets and residuals; the tables and kernels live in ``algebra``.
+defines brackets and residuals; the tables and the kernel live in ``algebra``.
 
 Residual functionals (Jacobi, Leibniz, the sector-factorization axioms, the
 classical limit) return the full residual observable so that violation
@@ -42,7 +42,6 @@ from itertools import product
 from .algebra import (
     Observable,
     ZERO,
-    _classical_part,
     _commuted,
     _concatenated,
     _product,
@@ -99,7 +98,7 @@ def ordered_poisson(a: Observable, b: Observable) -> Observable:
     it non-antisymmetric, which is why the symmetrized combination below
     exists.
     """
-    return _classical_part(a, b, _reordered)
+    return _product(a, b, _reordered, poisson=True)
 
 
 def aleksandrov_bracket(a: Observable, b: Observable) -> Observable:
@@ -108,7 +107,7 @@ def aleksandrov_bracket(a: Observable, b: Observable) -> Observable:
     The pair weight flips sign under a <-> b, so ({A,B} - {B,A})/2 is the
     classical part with each word replaced by the mean of its two orders.
     """
-    return quantum_bracket(a, b) + _classical_part(a, b, _symmetrized)
+    return quantum_bracket(a, b) + _product(a, b, _symmetrized, poisson=True)
 
 
 def normal_bracket_classical(a: Observable, b: Observable) -> Observable:
@@ -119,7 +118,7 @@ def normal_bracket_classical(a: Observable, b: Observable) -> Observable:
     and the quantum words concatenate with no reordering, so no hbar is
     generated.
     """
-    return _classical_part(a, b, _concatenated)
+    return _product(a, b, _concatenated, poisson=True)
 
 
 def normal_bracket(a: Observable, b: Observable) -> Observable:

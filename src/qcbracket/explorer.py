@@ -121,25 +121,20 @@ def _sector_size(max_degree: int, sector: str) -> int:
     return comb(max_degree + variables, variables)
 
 
-def _canonicalize_triples(config: ScanConfig) -> bool:
-    # Jacobi's cyclic/anticyclic symmetry needs an antisymmetric bracket.
-    # ordered_poisson is antisymmetric only on the classical sector.
-    if config.identity != "jacobi":
-        return False
-    return config.kind in ANTISYMMETRIC_KINDS or config.sector == "classical"
+def _triples(config: ScanConfig, count: int) -> tuple[int, Iterable[tuple[int, int, int]]]:
+    """The number of index triples over ``count`` monomials, and a lazy walk of them.
 
-
-def _index_triples(config: ScanConfig, count: int) -> Iterable[tuple[int, int, int]]:
-    if _canonicalize_triples(config):
-        return combinations_with_replacement(range(count), 3)
-    return product(range(count), repeat=3)
-
-
-def _triple_count(config: ScanConfig, count: int) -> int:
-    """len(_index_triples(config, count)), without walking it."""
-    if _canonicalize_triples(config):
-        return comb(count + 2, 3)
-    return count ** 3
+    Jacobi's cyclic/anticyclic symmetry lets one sorted triple stand for its
+    orbit where the bracket is antisymmetric, which ordered_poisson is only on
+    the classical sector.  itertools copies range(count) when called, so only
+    a started walk does: reading the count lists nothing.
+    """
+    canonical = config.identity == "jacobi" and (
+        config.kind in ANTISYMMETRIC_KINDS or config.sector == "classical")
+    def walk():
+        yield from (combinations_with_replacement(range(count), 3) if canonical
+                    else product(range(count), repeat=3))
+    return (comb(count + 2, 3) if canonical else count ** 3), walk()
 
 
 def _scan_range(config: ScanConfig, lo: int, hi: int) -> list[ViolationRecord]:
@@ -151,7 +146,7 @@ def _scan_range(config: ScanConfig, lo: int, hi: int) -> list[ViolationRecord]:
     residual_of = jacobi_residual if config.identity == "jacobi" else leibniz_residual
     out = []
     with _pair_table(config.kind, observables):
-        for i, j, k in islice(_index_triples(config, len(monos)), lo, hi):
+        for i, j, k in islice(_triples(config, len(monos))[1], lo, hi):
             a, b, c = observables[i], observables[j], observables[k]
             residual = residual_of(config.kind, a, b, c).residual
             if not residual:
@@ -169,7 +164,7 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
     """Evaluate the configured identity on every monomial triple.
 
     Jacobi triples are canonicalized up to their cyclic/anticyclic symmetry
-    where that is sound (see _canonicalize_triples); Leibniz has no such
+    where that is sound (see _triples); Leibniz has no such
     symmetry, so its triples are ordered.  Records come back sorted by
     (total triple degree, enumeration order) regardless of ``jobs``, which is
     clamped to the CPU count and must be a positive int.  A scan of more than
@@ -179,7 +174,7 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
         raise ValueError(f"jobs must be an int, not {jobs!r}")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    total = _triple_count(config, _sector_size(config.max_degree, config.sector))
+    total, _ = _triples(config, _sector_size(config.max_degree, config.sector))
     if total > SCAN_TRIPLE_CAP:
         raise ValueError(f"scan of {total} triples exceeds the cap of {SCAN_TRIPLE_CAP}")
     # The pool starts every worker at once; more than one per core only

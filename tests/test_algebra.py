@@ -23,7 +23,6 @@ from qcbracket import (
     scale,
     symbol_poisson,
 )
-from qcbracket.algebra import _partial
 import reference
 from oracles import build, to_reference
 
@@ -293,29 +292,6 @@ def test_pow():
     assert (Q + P) ** 2 == ((Q * Q) + scale(2, Q * P)) + ((P * P) + scale(-1, I * HBAR))
     with pytest.raises(ValueError):
         Q ** -1
-
-
-# --- derivatives -------------------------------------------------------------
-
-def test_x_derivative_power_rule():
-    x2kq = (X * X) * (K * Q)
-    assert _partial(x2kq, 0) == scale(2, X * (K * Q))
-
-
-def test_partials_of_missing_variables_vanish():
-    assert _partial(X * Q, 1) == ZERO
-    assert _partial((K * K) * P, 0) == ZERO
-
-
-def test_quantum_partials():
-    q2p = (Q * Q) * P
-    assert _partial(q2p, 2) == scale(2, Q * P)
-    assert _partial(q2p, 3) == Q * Q
-
-
-def test_partials_commute():
-    a = ((X * Q) * (K * P)) + scale(3, X * X)
-    assert _partial(_partial(a, 1), 0) == _partial(_partial(a, 0), 1)
 
 
 # --- hbar structure ----------------------------------------------------------

@@ -31,8 +31,8 @@ from qcbracket import (
     leibniz_residual,
     scale,
 )
-from qcbracket.algebra import (_SERIES_ONE, _classical_part, _commuted, _concatenated,
-                               _product, _reordered, _symmetrized)
+from qcbracket.algebra import (_SERIES_ONE, _commuted, _concatenated, _product, _reordered,
+                               _symmetrized)
 import reference
 from oracles import assert_canonical, from_reference, to_reference
 
@@ -163,11 +163,11 @@ def test_product_kernel_equals_the_oracles(pair):
 def _assert_classical_parts_equal_the_reference(a, b):
     ra, rb = to_reference(a), to_reference(b)
     ab, ba = reference.poisson(ra, rb), reference.poisson(rb, ra)
-    assert to_reference(_classical_part(a, b, _reordered)) == ab
-    assert to_reference(_classical_part(a, b, _symmetrized)) == reference.divided(
+    assert to_reference(_product(a, b, _reordered, poisson=True)) == ab
+    assert to_reference(_product(a, b, _symmetrized, poisson=True)) == reference.divided(
         reference.sub(ab, ba), 2)
-    assert to_reference(_classical_part(a, b, _concatenated)) == reference.normal_classical(
-        ra, rb)
+    assert to_reference(_product(a, b, _concatenated, poisson=True)) == (
+        reference.normal_classical(ra, rb))
     return ab, ba
 
 
@@ -203,8 +203,8 @@ def test_kernels_on_unit_coefficients_equal_the_oracles(u, f, unit_first):
         reference.add(ab, ba), 2)
     assert to_reference(_product(a, b, _concatenated)) == reference.symbol_product(ra, rb)
     ab, ba = _assert_classical_parts_equal_the_reference(a, b)
-    assert to_reference(_classical_part(a, b, _commuted)) == reference.add(ab, ba)
-    for result in (_product(a, b), _classical_part(a, b, _reordered)):
+    assert to_reference(_product(a, b, _commuted, poisson=True)) == reference.add(ab, ba)
+    for result in (_product(a, b), _product(a, b, _reordered, poisson=True)):
         assert_canonical(result)
 
 
@@ -214,8 +214,8 @@ def test_empty_results_are_the_shared_zero():
     assert _product(ZERO, q) is ZERO
     assert _product(x * q, k * q, _commuted) is ZERO      # the words commute
     assert bracket(BracketKind.COMMUTATOR, x, k) is ZERO
-    assert _classical_part(q, p, _reordered) is ZERO  # no classical factor
-    assert _classical_part(x * q, x * p, _reordered) is ZERO  # zero weight
+    assert _product(q, p, _reordered, poisson=True) is ZERO  # no classical factor
+    assert _product(x * q, x * p, _reordered, poisson=True) is ZERO  # zero weight
 
 
 # --- every result is canonical ------------------------------------------------------

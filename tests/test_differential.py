@@ -1,11 +1,11 @@
-"""The bracket kernels, the scans and the operator product against the reference.
+"""The bracket kernel, the scans and the operator product against the reference.
 
-The package computes every classical part in one term-pair loop, the
-commutator in one pass of the product kernel, and scans behind a pair table
-with known answers skipped.  ``tests/reference.py``, which imports nothing
-from the package, computes the same brackets from partial derivatives and
-both star products, and the oracle scan below enumerates its own triples
-and computes every residual there.
+The package computes the product, the commutator, every classical part and
+the symbol Poisson bracket in one term-pair kernel over its word tables, and
+scans behind a pair table with known answers skipped.  ``tests/reference.py``,
+which imports nothing from the package, computes the same brackets from
+partial derivatives and both star products, and the oracle scan below
+enumerates its own triples and computes every residual there.
 """
 
 import random
@@ -23,6 +23,7 @@ from qcbracket import (
     ScanConfig,
     ViolationRecord,
     aleksandrov_bracket,
+    hbar_zero,
     jacobi_residual,
     monomial_observable,
     normal_bracket,
@@ -31,6 +32,7 @@ from qcbracket import (
     quantum_bracket,
     random_observable,
     scan,
+    symbol_poisson,
 )
 from qcbracket import algebra, brackets, explorer
 from qcbracket.explorer import SECTORS
@@ -58,6 +60,23 @@ def test_brackets_equal_the_partials_and_products_oracle(a, b):
     assert to_reference(aleksandrov_bracket(a, b)) == reference.aleksandrov(ra, rb)
     assert to_reference(normal_bracket_classical(a, b)) == reference.normal_classical(ra, rb)
     assert to_reference(normal_bracket(a, b)) == reference.normal(ra, rb)
+
+
+def _symbol_poisson(ra, rb):
+    """dA/dx dB/dk - dA/dk dB/dx + dA/dq dB/dp - dA/dp dB/dq, all products commutative."""
+    def half(u, v):
+        return reference.sub(
+            reference.symbol_product(reference.derivative(ra, u), reference.derivative(rb, v)),
+            reference.symbol_product(reference.derivative(ra, v), reference.derivative(rb, u)))
+    return reference.add(half(0, 1), half(2, 3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(observables(), observables())
+def test_symbol_poisson_equals_the_derivatives_oracle(a, b):
+    a, b = hbar_zero(a), hbar_zero(b)
+    assert to_reference(symbol_poisson(a, b)) == _symbol_poisson(to_reference(a),
+                                                                 to_reference(b))
 
 
 def _reordering_terms(t, r):
@@ -89,6 +108,13 @@ def test_word_tables_match_the_swap_oracle():
             commuted = _table(algebra._commuted(t1, r1, t2, r2))
             assert commuted == [(j, w) for j, w in difference if w]
             assert all(j for j, _ in commuted)
+    # The q,p half of the symbol Poisson bracket of two words: j = 1 alone.
+    for t1, r1, t2, r2 in product(range(5), repeat=4):
+        words = [{(0, 0, r, t, 0): (1, 0)} for r, t in ((r1, t1), (r2, t2))]
+        poisson = _symbol_poisson(*words)
+        assert all(key == (0, 0, r1 + r2 - 1, t1 + t2 - 1, 0) for key in poisson)
+        assert _table(algebra._qp_poisson(t1, r1, t2, r2)) == [
+            (1, {(0, 0, 0, 0, 0): c}) for c in poisson.values()]
 
 
 def _oracle_scan(config):

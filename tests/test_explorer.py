@@ -24,8 +24,8 @@ from qcbracket import (
 )
 from qcbracket import explorer
 from qcbracket.explorer import (
-    IDENTITIES, RANDOM_POOL_CAP, SCAN_TRIPLE_CAP, SECTORS, _index_triples,
-    _monomial, _sector_monomials, _sector_size, _triple_count)
+    IDENTITIES, RANDOM_POOL_CAP, SCAN_TRIPLE_CAP, SECTORS, _monomial,
+    _sector_monomials, _sector_size, _triples)
 import reference
 from oracles import build
 
@@ -97,14 +97,16 @@ def test_triple_count_matches_the_enumeration():
                             sector=sector)
         count = len(_sector_monomials(degree, sector))
         assert _sector_size(degree, sector) == count, config
-        walked = sum(1 for _ in _index_triples(config, count))
-        assert _triple_count(config, count) == walked, config
+        total, triples = _triples(config, count)
+        assert total == sum(1 for _ in triples), config
 
 
 def test_scan_triple_cap():
     assert SCAN_TRIPLE_CAP == 10**7
     leibniz_6 = ScanConfig(kind=NORMAL, identity="leibniz", max_degree=6)
-    assert _triple_count(leibniz_6, _sector_size(6, "all")) == 210 ** 3 <= SCAN_TRIPLE_CAP
+    assert _triples(leibniz_6, _sector_size(6, "all"))[0] == 210 ** 3 <= SCAN_TRIPLE_CAP
+    # The total is read with no pool listed; itertools would overflow on this one.
+    assert _triples(leibniz_6, 10**30)[0] == 10**90
     # The largest monomial count is never enumerated: the cap comes first.
     for degree, identity in ((7, "leibniz"), (10, "leibniz"), (10**6, "jacobi")):
         config = ScanConfig(kind=NORMAL, identity=identity, max_degree=degree)
