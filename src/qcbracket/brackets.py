@@ -183,16 +183,14 @@ def jacobi_residual(kind: BracketKind, a: Observable, b: Observable,
     fn = _dispatch(kind)
     if kind in ANTISYMMETRIC_KINDS and (a is b or b is c or c is a):
         return ResidualReport(ZERO)
-    residual = fn(fn(a, b), c) + fn(fn(b, c), a) + fn(fn(c, a), b)
-    return ResidualReport(residual)
+    return ResidualReport(fn(fn(a, b), c) + fn(fn(b, c), a) + fn(fn(c, a), b))
 
 
 def leibniz_residual(kind: BracketKind, a: Observable, b: Observable,
                      c: Observable) -> ResidualReport:
     """(AB,C) - (A,C)B - A(B,C), operator products in written order."""
     fn = _dispatch(kind)
-    residual = fn(a * b, c) - (fn(a, c) * b + a * fn(b, c))
-    return ResidualReport(residual)
+    return ResidualReport(fn(a * b, c) - (fn(a, c) * b + a * fn(b, c)))
 
 
 def axiom_residuals(kind: BracketKind, c: Observable, q: Observable,
@@ -215,10 +213,7 @@ def axiom_residuals(kind: BracketKind, c: Observable, q: Observable,
     cq = c * q
     first = bracket(kind, cq, c2) - ordered_poisson(c, c2) * q
     second = bracket(kind, cq, q2) - quantum_bracket(q, q2) * c
-    return (
-        ResidualReport(first),
-        ResidualReport(second),
-    )
+    return ResidualReport(first), ResidualReport(second)
 
 
 def classical_limit_residual(kind: BracketKind, a: Observable,
@@ -235,6 +230,5 @@ def classical_limit_residual(kind: BracketKind, a: Observable,
         if not (a.is_quantum() and b.is_quantum()):
             raise InvalidSectorError(
                 "commutator classical limit requires quantum-only inputs")
-    residual = hbar_zero(bracket(kind, a, b)) - symbol_poisson(
-        hbar_zero(a), hbar_zero(b))
-    return ResidualReport(residual)
+    return ResidualReport(
+        hbar_zero(bracket(kind, a, b)) - symbol_poisson(hbar_zero(a), hbar_zero(b)))

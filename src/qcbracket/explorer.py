@@ -264,7 +264,6 @@ def axiom_sweep(kind: BracketKind, samples: int, seed: int) -> list[ResidualRepo
         q = _random_from(rng, 3, 3, "quantum")
         c2 = _random_from(rng, 3, 3, "classical")
         q2 = _random_from(rng, 3, 3, "quantum")
-        for report in axiom_residuals(kind, c, q, c2, q2):
-            if not report.is_zero:
-                violations.append(report)
+        violations.extend(report for report in axiom_residuals(kind, c, q, c2, q2)
+                          if not report.is_zero)
     return violations

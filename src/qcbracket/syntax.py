@@ -346,8 +346,15 @@ class OutputRecord:
         }
 
     def to_observable(self) -> Observable:
-        return Observable({
-            tuple(term["exp"]): HbarSeries({
-                c["hbar"]: GaussianRational(Fraction(*c["re"]), Fraction(*c["im"]))
-                for c in term["coeff"]})
-            for term in self.terms})
+        # A dict keeps the last of two entries on one key: refuse them instead.
+        terms: dict[Monomial, HbarSeries] = {}
+        for term in self.terms:
+            exp, coeff = tuple(term["exp"]), {}
+            for c in term["coeff"]:
+                if c["hbar"] in coeff:
+                    raise ValueError(f"repeated hbar degree {c['hbar']!r} in the term {exp}")
+                coeff[c["hbar"]] = GaussianRational(Fraction(*c["re"]), Fraction(*c["im"]))
+            if exp in terms:
+                raise ValueError(f"repeated exponents {exp} in the record")
+            terms[exp] = HbarSeries(coeff)
+        return Observable(terms)

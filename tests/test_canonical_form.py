@@ -1,13 +1,14 @@
 """The coefficient fast paths against the reference, and the canonical form.
 
-Single-term series multiply with one coefficient product, a product with the
-unit series is the other factor, subtraction is addition of the negation,
-empty operands and empty results short-circuit to a shared value, and results
-known to hold no zero skip the zero filter.  Each of those paths is compared
-here with the reference algebra (``tests/reference.py``, which shares no code
-with the package), on operands built to be single-term, multi-term, empty or
-cancelling.  The invariant tests then check that every result of the public
-operations, the brackets and the residuals is in canonical form.
+Every sum of term maps goes through the one merge, which drops a key where its
+values cancel; a series product is such a sum of shifted, scaled copies, a
+product with the unit series is the other factor, subtraction is addition of
+the negation, and empty operands and empty results short-circuit to a shared
+value.  Each of those paths is compared here with the reference algebra
+(``tests/reference.py``, which shares no code with the package), on operands
+built to be single-term, multi-term, empty or cancelling.  The invariant tests
+then check that every result of the public operations, the brackets and the
+residuals is in canonical form.
 """
 
 from fractions import Fraction
@@ -29,10 +30,11 @@ from qcbracket import (
     hbar_zero,
     jacobi_residual,
     leibniz_residual,
+    quantum_bracket,
     scale,
 )
-from qcbracket.algebra import (_SERIES_ONE, _commuted, _concatenated, _product, _reordered,
-                               _symmetrized)
+from qcbracket.algebra import (_SERIES_ONE, _SERIES_ZERO, _commuted, _concatenated, _product,
+                               _reordered, _symmetrized)
 import reference
 from oracles import assert_canonical, from_reference, to_reference
 
@@ -84,7 +86,7 @@ def observable_pairs(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(series_pairs())
-def test_series_product_equals_the_double_loop(pair):
+def test_series_product_equals_the_reference(pair):
     a, b = pair
     product = a * b
     assert to_reference(product) == reference.symbol_product(to_reference(a), to_reference(b))
@@ -93,7 +95,7 @@ def test_series_product_equals_the_double_loop(pair):
 
 @settings(deadline=None, max_examples=150)
 @given(series(), scalars)
-def test_series_times_a_scalar_equals_the_double_loop(a, s):
+def test_series_times_a_scalar_equals_the_reference(a, s):
     expected = reference.symbol_product(to_reference(a), to_reference(HbarSeries(s)))
     assert to_reference(a * s) == expected
     assert to_reference(s * a) == expected
@@ -231,6 +233,13 @@ def test_empty_results_are_the_shared_zero():
     assert bracket(BracketKind.COMMUTATOR, x, k) is ZERO
     assert _product(q, p, _reordered, poisson=True) is ZERO  # no classical factor
     assert _product(x * q, x * p, _reordered, poisson=True) is ZERO  # zero weight
+    # Sums that cancel term by term: in the merge, and in the kernel's accumulator,
+    # where the pairs (q, p) and (p, q) cancel.
+    assert (x * q + p) - (x * q + p) is ZERO
+    assert quantum_bracket(q + p, q + p) is ZERO
+    s = HbarSeries({0: 1, 2: GaussianRational(0, Fraction(1, 3))})
+    assert not (s - s).terms
+    assert s - s is _SERIES_ZERO
 
 
 # --- every result is canonical ------------------------------------------------------

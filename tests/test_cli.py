@@ -273,6 +273,20 @@ def test_output_record_rejects_unknown_schema():
         OutputRecord.from_dict({"schema": 2, "canonical_text": "0", "terms": []})
 
 
+def test_output_record_rejects_repeated_keys():
+    # (1/2)*x and x on one key would read back as x if a dict kept the last.
+    half = {"hbar": 0, "re": [1, 2], "im": [0, 1]}
+    one = {"hbar": 0, "re": [1, 1], "im": [0, 1]}
+    for terms, message in (
+            ([{"exp": [1, 0, 0, 0], "coeff": [half, one]}],
+             "repeated hbar degree 0 in the term (1, 0, 0, 0)"),
+            ([{"exp": [1, 0, 0, 0], "coeff": [half]}, {"exp": [1, 0, 0, 0], "coeff": [one]}],
+             "repeated exponents (1, 0, 0, 0) in the record")):
+        record = OutputRecord.from_dict({"schema": 1, "canonical_text": "(3/2)*x", "terms": terms})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            record.to_observable()
+
+
 # --- command line ----------------------------------------------------------------
 
 def test_canon_command(capsys):
