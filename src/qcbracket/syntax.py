@@ -296,6 +296,15 @@ def format_observable(a: Observable) -> str:
 
 # --- JSON records -----------------------------------------------------------
 
+def _coefficient(c: Mapping[str, Any]) -> dict:
+    """One hbar term of a JSON record; each part must be two ints, the second nonzero."""
+    re, im = c["re"], c["im"]
+    (a, b), (e, d) = re, im  # a part of another length is a ValueError here
+    if not (type(a) is type(b) is type(e) is type(d) is int and b and d):
+        raise ValueError(f"a part is two ints over a nonzero denominator, not {re!r}, {im!r}")
+    return {"hbar": HbarSeries._key(c["hbar"]), "re": (a, b), "im": (e, d)}
+
+
 @dataclass(frozen=True)
 class OutputRecord:
     """Flat serialized form of one observable.
@@ -326,17 +335,15 @@ class OutputRecord:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "OutputRecord":
-        if payload.get("schema") != cls.SCHEMA:
-            raise ValueError(f"unsupported schema {payload.get('schema')!r}")
-        terms = tuple(
-            {
-                "exp": tuple(term["exp"]),
-                "coeff": tuple(
-                    {"hbar": c["hbar"], "re": tuple(c["re"]), "im": tuple(c["im"])}
-                    for c in term["coeff"]),
-            }
-            for term in payload["terms"])
-        return cls(payload["canonical_text"], terms)
+        try:  # a payload of any other shape is a ValueError too
+            if payload.get("schema") != cls.SCHEMA:
+                raise ValueError(f"unsupported schema {payload.get('schema')!r}")
+            terms = tuple({"exp": tuple(term["exp"]),
+                           "coeff": tuple(map(_coefficient, term["coeff"]))}
+                          for term in payload["terms"])
+            return cls(payload["canonical_text"], terms)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed record: {exc!r}") from None
 
     def as_dict(self) -> dict:
         return {

@@ -287,6 +287,40 @@ def test_output_record_rejects_repeated_keys():
             record.to_observable()
 
 
+def _x_record(term=None, **coeff):
+    """The record of x, with the term's or its coefficient's fields replaced."""
+    coeff = {"hbar": 0, "re": [1, 1], "im": [0, 1], **coeff}
+    term = {"exp": [1, 0, 0, 0], "coeff": [coeff]} if term is None else term
+    return {"schema": 1, "canonical_text": "x", "terms": [term]}
+
+
+@pytest.mark.parametrize("payload", [
+    [1],
+    {"schema": 1},
+    {"schema": 1, "canonical_text": "x"},
+    {"schema": 1, "canonical_text": "x", "terms": 5},
+    {"schema": 1, "terms": []},
+    _x_record(5),
+    _x_record({"exp": [1, 0, 0, 0]}),
+    _x_record({"exp": 5, "coeff": []}),
+    _x_record({"exp": [1, 0, 0, 0], "coeff": 5}),
+    _x_record({"exp": [1, 0, 0, 0], "coeff": [5]}),
+    _x_record(hbar=[0]),
+    _x_record(hbar=-1),
+    _x_record(re=[1, 0]),
+    _x_record(re=[1.5, 1]),
+    _x_record(re=[]),
+    _x_record(re=[1, 2, 3]),
+    _x_record(re="1/2"),
+    _x_record(re=[True, 1]),
+    _x_record(im=None),
+])
+def test_malformed_records_raise_value_error(payload):
+    assert OutputRecord.from_dict(_x_record()).to_observable() == parse("x")
+    with pytest.raises(ValueError):
+        OutputRecord.from_dict(payload).to_observable()
+
+
 # --- command line ----------------------------------------------------------------
 
 def test_canon_command(capsys):

@@ -300,6 +300,15 @@ def test_product_equals_the_star_product(f, g):
     assert to_reference(f * g) == reference.star(to_reference(f), to_reference(g))
 
 
+@settings(deadline=None, max_examples=100)
+@given(observables(), st.integers(min_value=0, max_value=4))
+def test_power_equals_the_folded_star_product(a, n):
+    expected = {(0, 0, 0, 0, 0): (1, 0)}
+    for _ in range(n):
+        expected = reference.star(expected, to_reference(a))
+    assert to_reference(a ** n) == expected
+
+
 def test_star_product_hand_values():
     q, p = {(0, 0, 1, 0, 0): (1, 0)}, {(0, 0, 0, 1, 0): (1, 0)}
     assert reference.star(q, p) == {(0, 0, 1, 1, 0): (1, 0)}
