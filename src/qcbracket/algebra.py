@@ -442,9 +442,10 @@ def reorder(t: int, r: int) -> Observable:
 
     the standard-ordered star product of Agarwal & Wolf (Phys. Rev. D 2, 2161,
     1970).  The test suite checks it against literal swaps for all t, r <= 6.
+    Raises ValueError unless t and r are nonnegative ints (not bools).
     """
-    if t < 0 or r < 0:
-        raise ValueError("exponents must be nonnegative")
+    if type(t) is not int or type(r) is not int or t < 0 or r < 0:
+        raise ValueError(f"exponents must be nonnegative ints, not {t!r} and {r!r}")
     return _make(Observable, {(0, 0, r - j, t - j): w for j, w in _reorder_terms(t, r)})
 
 

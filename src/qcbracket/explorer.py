@@ -49,6 +49,14 @@ AXIOM_SAMPLE_CAP = 10**6
 RANDOM_POOL_CAP = 10**6
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """Refuse a count that is not an int (a bool is not one) or is below ``least``, 0 or 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """What to scan: which identity, which bracket, over which monomials."""
@@ -65,10 +73,7 @@ class ScanConfig:
             raise ValueError(f"unknown identity {self.identity!r}")
         if self.sector not in SECTORS:
             raise ValueError(f"unknown sector {self.sector!r}")
-        if type(self.max_degree) is not int:
-            raise ValueError(f"max_degree must be an int, not {self.max_degree!r}")
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
+        _check_count("max_degree", self.max_degree, 0)
 
 
 @dataclass(frozen=True)
@@ -170,10 +175,7 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
     clamped to the CPU count and must be a positive int.  A scan of more than
     ``SCAN_TRIPLE_CAP`` triples raises ValueError up front.
     """
-    if type(jobs) is not int:
-        raise ValueError(f"jobs must be an int, not {jobs!r}")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
+    _check_count("jobs", jobs, 1)
     total, _ = _triples(config, _sector_size(config.max_degree, config.sector))
     if total > SCAN_TRIPLE_CAP:
         raise ValueError(f"scan of {total} triples exceeds the cap of {SCAN_TRIPLE_CAP}")
@@ -232,10 +234,8 @@ def random_observable(seed: int, max_degree: int = 3, max_terms: int = 4,
     """
     if sector not in SECTORS:
         raise ValueError(f"unknown sector {sector!r}")
-    if type(max_degree) is not int or max_degree < 0:
-        raise ValueError(f"max_degree must be a nonnegative int, not {max_degree!r}")
-    if type(max_terms) is not int or max_terms < 1:
-        raise ValueError(f"max_terms must be a positive int, not {max_terms!r}")
+    _check_count("max_degree", max_degree, 0)
+    _check_count("max_terms", max_terms, 1)
     pool = _sector_size(max_degree, sector)
     if pool > RANDOM_POOL_CAP:
         raise ValueError(f"pool of {pool} monomials exceeds the cap of {RANDOM_POOL_CAP}")
@@ -250,10 +250,7 @@ def axiom_sweep(kind: BracketKind, samples: int, seed: int) -> list[ResidualRepo
     normal-order kinds.  Raises ValueError unless samples is an int (not a
     bool) with 1 <= samples <= AXIOM_SAMPLE_CAP.
     """
-    if type(samples) is not int:
-        raise ValueError(f"samples must be an int, not {samples!r}")
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    _check_count("samples", samples, 1)
     if samples > AXIOM_SAMPLE_CAP:
         raise ValueError(
             f"axiom sweep of {samples} samples exceeds the cap of {AXIOM_SAMPLE_CAP}")

@@ -296,72 +296,66 @@ def format_observable(a: Observable) -> str:
 
 # --- JSON records -----------------------------------------------------------
 
-def _coefficient(c: Mapping[str, Any]) -> dict:
-    """One hbar term of a JSON record; each part must be two ints, the second nonzero."""
-    re, im = c["re"], c["im"]
-    (a, b), (e, d) = re, im  # a part of another length is a ValueError here
-    if not (type(a) is type(b) is type(e) is type(d) is int and b and d):
-        raise ValueError(f"a part is two ints over a nonzero denominator, not {re!r}, {im!r}")
-    return {"hbar": HbarSeries._key(c["hbar"]), "re": (a, b), "im": (e, d)}
-
-
 @dataclass(frozen=True)
 class OutputRecord:
-    """Flat serialized form of one observable.
+    """The schema-1 JSON record of one observable.
 
-    ``terms`` mirrors the JSON layout: each entry has "exp", the four
-    exponents, and "coeff", the hbar-coefficient table with exact rational
-    real and imaginary parts.
+    ``as_dict`` writes it and ``from_dict`` reads it back.  Its "terms" list
+    each monomial's "exp", the four exponents, and "coeff", the hbar terms
+    with exact rational real and imaginary parts.  Its "canonical_text" is
+    derived from those terms, so the reader requires a string there and keeps
+    the text of the terms it read.
     """
 
-    canonical_text: str
-    terms: tuple[dict, ...]
+    observable: Observable
 
     SCHEMA = 1
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.observable, Observable):
+            raise TypeError(f"an OutputRecord holds an Observable, not {self.observable!r}")
+
+    @property
+    def canonical_text(self) -> str:
+        return format_observable(self.observable)
+
     @classmethod
     def from_observable(cls, a: Observable) -> "OutputRecord":
-        terms = []
-        for mono, series in _display_terms(a):
-            coeff = tuple(
-                {
-                    "hbar": degree,
-                    "re": (g.re.numerator, g.re.denominator),
-                    "im": (g.im.numerator, g.im.denominator),
-                }
-                for degree, g in series)
-            terms.append({"exp": mono, "coeff": coeff})
-        return cls(format_observable(a), tuple(terms))
+        return cls(a)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "OutputRecord":
         try:  # a payload of any other shape is a ValueError too
-            if payload.get("schema") != cls.SCHEMA:
-                raise ValueError(f"unsupported schema {payload.get('schema')!r}")
-            terms = tuple({"exp": tuple(term["exp"]),
-                           "coeff": tuple(map(_coefficient, term["coeff"]))}
-                          for term in payload["terms"])
-            return cls(payload["canonical_text"], terms)
+            if type(schema := payload.get("schema")) is not int or schema != cls.SCHEMA:
+                raise ValueError(f"unsupported schema {schema!r}")
+            if type(text := payload["canonical_text"]) is not str:
+                raise ValueError(f"canonical_text is a string, not {text!r}")
+            # A dict keeps the last of two entries on one key: refuse them instead.
+            terms: dict[Monomial, HbarSeries] = {}
+            for term in payload["terms"]:
+                exp, coeff = Observable._key(term["exp"]), {}
+                for c in term["coeff"]:
+                    degree, re, im = HbarSeries._key(c["hbar"]), c["re"], c["im"]
+                    (a, b), (e, d) = re, im  # a part of another length is a ValueError here
+                    if not (type(a) is type(b) is type(e) is type(d) is int and b and d):
+                        raise ValueError(
+                            f"a part is two ints over a nonzero denominator, not {re!r}, {im!r}")
+                    if degree in coeff:
+                        raise ValueError(f"repeated hbar degree {degree!r} in the term {exp}")
+                    coeff[degree] = GaussianRational(Fraction(a, b), Fraction(e, d))
+                if exp in terms:
+                    raise ValueError(f"repeated exponents {exp} in the record")
+                terms[exp] = HbarSeries(coeff)
+            return cls(Observable(terms))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed record: {exc!r}") from None
 
     def as_dict(self) -> dict:
-        return {
-            "schema": self.SCHEMA,
-            "canonical_text": self.canonical_text,
-            "terms": list(self.terms),
-        }
+        terms = [{"exp": mono, "coeff": [
+            {"hbar": degree, "re": (g.re.numerator, g.re.denominator),
+             "im": (g.im.numerator, g.im.denominator)} for degree, g in series]}
+            for mono, series in _display_terms(self.observable)]
+        return {"schema": self.SCHEMA, "canonical_text": self.canonical_text, "terms": terms}
 
     def to_observable(self) -> Observable:
-        # A dict keeps the last of two entries on one key: refuse them instead.
-        terms: dict[Monomial, HbarSeries] = {}
-        for term in self.terms:
-            exp, coeff = tuple(term["exp"]), {}
-            for c in term["coeff"]:
-                if c["hbar"] in coeff:
-                    raise ValueError(f"repeated hbar degree {c['hbar']!r} in the term {exp}")
-                coeff[c["hbar"]] = GaussianRational(Fraction(*c["re"]), Fraction(*c["im"]))
-            if exp in terms:
-                raise ValueError(f"repeated exponents {exp} in the record")
-            terms[exp] = HbarSeries(coeff)
-        return Observable(terms)
+        return self.observable

@@ -252,6 +252,14 @@ def test_reorder_matches_swap_oracle_up_to_degree_six():
             assert to_reference(reorder(t, r)) == reference.swaps(t, r), (t, r)
 
 
+@pytest.mark.parametrize("t, r", [(-1, 0), (0, -1), (1.5, 2), (2, 1.5), ("2", 1),
+                                  (1, "2"), (True, 2), (2, True), (None, 0)])
+def test_reorder_rejects_exponents_that_are_not_nonnegative_ints(t, r):
+    # The same test as every other exponent and degree: a bool is not an int.
+    with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
+        reorder(t, r)
+
+
 # --- products ----------------------------------------------------------------
 
 def test_mul_defining_relation():

@@ -282,9 +282,28 @@ def test_output_record_rejects_repeated_keys():
              "repeated hbar degree 0 in the term (1, 0, 0, 0)"),
             ([{"exp": [1, 0, 0, 0], "coeff": [half]}, {"exp": [1, 0, 0, 0], "coeff": [one]}],
              "repeated exponents (1, 0, 0, 0) in the record")):
-        record = OutputRecord.from_dict({"schema": 1, "canonical_text": "(3/2)*x", "terms": terms})
         with pytest.raises(ValueError, match=re.escape(message)):
-            record.to_observable()
+            OutputRecord.from_dict({"schema": 1, "canonical_text": "(3/2)*x", "terms": terms})
+
+
+def test_output_record_holds_only_an_observable():
+    for bad in (5, "x", None, {}):
+        with pytest.raises(TypeError):
+            OutputRecord(bad)
+    # Two fields, with a term that no Observable could hold.
+    for coeff in ({"hbar": [0], "re": (1, 1), "im": (0, 1)},
+                  {"hbar": 0, "re": (1, 0), "im": (0, 1)}):
+        with pytest.raises(TypeError):
+            OutputRecord("x", ({"exp": (1, 0, 0, 0), "coeff": (coeff,)},))
+    assert OutputRecord(parse("x")).to_observable() == parse("x")
+
+
+def test_output_record_text_is_derived_from_its_terms():
+    # An edited text cannot disagree with the terms: the record keeps theirs.
+    record = OutputRecord.from_dict({**_x_record(), "canonical_text": "q*p - 7"})
+    assert record.to_observable() == parse("x")
+    assert record.canonical_text == "x"
+    assert record.as_dict()["canonical_text"] == "x"
 
 
 def _x_record(term=None, **coeff):
@@ -314,6 +333,10 @@ def _x_record(term=None, **coeff):
     _x_record(re="1/2"),
     _x_record(re=[True, 1]),
     _x_record(im=None),
+    {**_x_record(), "schema": True},
+    {**_x_record(), "schema": 1.0},
+    {**_x_record(), "canonical_text": None},
+    {**_x_record(), "canonical_text": 5},
 ])
 def test_malformed_records_raise_value_error(payload):
     assert OutputRecord.from_dict(_x_record()).to_observable() == parse("x")
