@@ -97,13 +97,12 @@ class GaussianRational(_Frozen):
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 
-    # Over d == 1 the gcd is 1, so results skip the reduction.
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         if not isinstance(other, GaussianRational):
             return NotImplemented
         d1, d2 = self._d, other._d
         if d1 == d2:
-            return (_make_gr if d1 == 1 else _gr)(self._a + other._a, self._b + other._b, d1)
+            return _gr(self._a + other._a, self._b + other._b, d1)
         return _gr(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
@@ -117,8 +116,7 @@ class GaussianRational(_Frozen):
     def __mul__(self, other: "GaussianRational | RationalLike") -> "GaussianRational":
         if isinstance(other, GaussianRational):
             a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-            d = self._d * other._d
-            return (_make_gr if d == 1 else _gr)(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
+            return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
             return _gr(self._a * n, self._b * n, self._d * other.denominator)
@@ -367,6 +365,8 @@ class Observable(_TermMap):
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Observable":
+        if type(exponent) is not int:
+            raise ValueError(f"exponent must be an int, not {exponent!r}")
         if exponent < 0:
             raise ValueError("negative operator powers are not defined")
         # Repeated multiplication, not squaring: in several variables a square has far more

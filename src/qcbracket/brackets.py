@@ -26,10 +26,11 @@ magnitudes are inspectable exactly, not just as booleans.
 In a scan, whose monomials carry the unit coefficient series, products with it
 are free (``HbarSeries.__mul__``), an antisymmetric kind's Jacobi residual is
 zero uncomputed when an argument repeats, and ``_pair_table`` brackets each
-ordered pair of the N scanned observables once, when a scan range starts.
-Inside it the dispatch of the scanned kind reads that table, keyed by the ids
-of the observables, which the context keeps alive.  Any other pair, an equal
-but distinct observable included, computes.
+ordered pair of the N scanned observables once, through the dispatch, when a
+scan range starts.  Inside it the dispatch reads that table, keyed by the ids
+of the observables, which the context keeps alive.  It holds no kind: a scan
+runs one kind's residual, and the mixed brackets call ``quantum_bracket``
+directly.  Any other pair, an equal but distinct observable included, computes.
 """
 
 from __future__ import annotations
@@ -127,41 +128,37 @@ def normal_bracket(a: Observable, b: Observable) -> Observable:
     return quantum_bracket(a, b) + normal_bracket_classical(a, b)
 
 
-# Each kind's bracket as pairs, since perfbench wraps any kind-keyed dict as a dispatch.
-_BRACKETS = (
-    (BracketKind.POISSON, ordered_poisson),
-    (BracketKind.COMMUTATOR, quantum_bracket),
-    (BracketKind.ALEKSANDROV, aleksandrov_bracket),
-    (BracketKind.NORMAL_ORDER, normal_bracket),
-)
-
-# None outside ``_pair_table``.  Inside, (kind, dict) with a key (id(a), id(b))
-# for each ordered pair of scanned observables, its value their bracket.
-_PAIR_TABLE: ContextVar[tuple | None] = ContextVar("pair_table", default=None)
+# None outside ``_pair_table``.  Inside, a dict with a key (id(a), id(b)) for
+# each ordered pair of scanned observables, its value their bracket.
+_PAIR_TABLE: ContextVar[dict | None] = ContextVar("pair_table", default=None)
 
 
 @contextmanager
 def _pair_table(kind: BracketKind, observables):
     """Bracket each ordered pair of ``observables``, then remember them in this context."""
-    fn = dict(_BRACKETS)[kind]
+    # Scans do not nest, so no table is live yet and the dispatch computes each pair.
+    fn = _DISPATCH[kind]
     table = {(id(a), id(b)): fn(a, b) for a, b in product(observables, repeat=2)}
-    token = _PAIR_TABLE.set((kind, table))
+    token = _PAIR_TABLE.set(table)
     try:
         yield
     finally:
         _PAIR_TABLE.reset(token)
 
 
-def _tabled(kind: BracketKind, fn):
+def _tabled(fn):
     """``fn``, read from the live pair table for two scanned observables."""
     def tabled(a: Observable, b: Observable) -> Observable:
-        state = _PAIR_TABLE.get()
-        value = state[1].get((id(a), id(b))) if state and state[0] is kind else None
+        table = _PAIR_TABLE.get()
+        value = table.get((id(a), id(b))) if table else None
         return fn(a, b) if value is None else value
     return tabled
 
 
-_DISPATCH = {kind: _tabled(kind, fn) for kind, fn in _BRACKETS}
+_DISPATCH = {BracketKind.POISSON: _tabled(ordered_poisson),
+             BracketKind.COMMUTATOR: _tabled(quantum_bracket),
+             BracketKind.ALEKSANDROV: _tabled(aleksandrov_bracket),
+             BracketKind.NORMAL_ORDER: _tabled(normal_bracket)}
 
 
 def _dispatch(kind: BracketKind):

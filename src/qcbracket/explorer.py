@@ -57,6 +57,16 @@ def _check_count(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
 
 
+def _check_cap(what: str, count: int, cap: int) -> None:
+    """Refuse ``count`` past ``cap``; ``what``, say "scan of {} triples", takes the count."""
+    if count > cap:
+        try:
+            text = str(count)
+        except ValueError:  # past the int-to-str digit limit
+            text = f"at least 2**{count.bit_length() - 1}"
+        raise ValueError(f"{what.format(text)} exceeds the cap of {cap}")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """What to scan: which identity, which bracket, over which monomials."""
@@ -177,8 +187,7 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
     """
     _check_count("jobs", jobs, 1)
     total, _ = _triples(config, _sector_size(config.max_degree, config.sector))
-    if total > SCAN_TRIPLE_CAP:
-        raise ValueError(f"scan of {total} triples exceeds the cap of {SCAN_TRIPLE_CAP}")
+    _check_cap("scan of {} triples", total, SCAN_TRIPLE_CAP)
     # The pool starts every worker at once; more than one per core only
     # costs processes.
     jobs = min(jobs, os.cpu_count() or 1)
@@ -236,9 +245,7 @@ def random_observable(seed: int, max_degree: int = 3, max_terms: int = 4,
         raise ValueError(f"unknown sector {sector!r}")
     _check_count("max_degree", max_degree, 0)
     _check_count("max_terms", max_terms, 1)
-    pool = _sector_size(max_degree, sector)
-    if pool > RANDOM_POOL_CAP:
-        raise ValueError(f"pool of {pool} monomials exceeds the cap of {RANDOM_POOL_CAP}")
+    _check_cap("pool of {} monomials", _sector_size(max_degree, sector), RANDOM_POOL_CAP)
     return _random_from(random.Random(seed), max_degree, max_terms, sector)
 
 
@@ -251,9 +258,7 @@ def axiom_sweep(kind: BracketKind, samples: int, seed: int) -> list[ResidualRepo
     bool) with 1 <= samples <= AXIOM_SAMPLE_CAP.
     """
     _check_count("samples", samples, 1)
-    if samples > AXIOM_SAMPLE_CAP:
-        raise ValueError(
-            f"axiom sweep of {samples} samples exceeds the cap of {AXIOM_SAMPLE_CAP}")
+    _check_cap("axiom sweep of {} samples", samples, AXIOM_SAMPLE_CAP)
     rng = random.Random(seed)
     violations: list[ResidualReport] = []
     for _ in range(samples):

@@ -295,8 +295,15 @@ def test_pow():
     assert Q ** 0 == ONE
     assert Q ** 3 == Q * (Q * Q)
     assert (Q + P) ** 2 == ((Q * Q) + scale(2, Q * P)) + ((P * P) + scale(-1, I * HBAR))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative operator powers are not defined"):
         Q ** -1
+
+
+@pytest.mark.parametrize("exponent", [True, False, 1.5, 2.0, "2", None, Fraction(2)])
+def test_pow_rejects_exponents_that_are_not_ints(exponent):
+    # As reorder: a bool is not an int, and nothing but an int reaches range().
+    with pytest.raises(ValueError, match="exponent must be an int, not"):
+        X ** exponent
 
 
 # --- hbar structure ----------------------------------------------------------

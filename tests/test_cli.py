@@ -573,6 +573,23 @@ def test_scan_past_the_triple_cap_exits_2(capsys):
                             " of 10000000\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this Python")
+def test_scan_past_the_triple_cap_with_an_unprintable_count_exits_2(capsys):
+    # The degree prints, but the triple count has too many digits to.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = run(["scan", "--kind", "normal", "--max-degree", str(10**1200)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: scan of at least 2**47819 triples exceeds the cap"
+                            " of 10000000\n")
+
+
 @pytest.mark.parametrize("samples, message", [
     ("0", "samples must be positive"),
     ("1000001", "axiom sweep of 1000001 samples exceeds the cap of 1000000"),

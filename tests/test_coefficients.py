@@ -3,6 +3,7 @@
 import pickle
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,10 @@ scalars = st.one_of(integers, rationals)
 
 
 def _agree(value: GaussianRational, reference: FractionGaussian) -> bool:
+    # The parts are Fractions, which reduce, so the triple itself is checked
+    # too, as oracles.assert_canonical does: a missing gcd shows only there.
+    a, b, d = value._a, value._b, value._d
+    assert d > 0 and gcd(a, b, d) == 1, (a, b, d)
     parts = (value.re, value.im)
     assert all(type(part) is Fraction for part in parts)
     return parts == (reference.re, reference.im)

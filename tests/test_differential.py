@@ -201,8 +201,7 @@ def test_the_pair_table_holds_only_pairs_of_scanned_monomials(monkeypatch, kind)
     assert state is not None and all(s is state for s in states)
     # The scanned objects are the coefficient-1 monomials, in scan order.
     assert [o.terms for o in observables] == [{m: algebra._SERIES_ONE} for m in monos]
-    table_kind, table = state
-    assert table_kind is kind
+    table = state
     # Every ordered pair of scanned monomials, and no other, holds its bracket.
     assert list(table) == list(product(map(id, observables), repeat=2))
     values = iter(table.values())

@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import pickle
 import random
+import sys
 import tracemalloc
 from itertools import permutations, product
 
@@ -382,6 +383,27 @@ def test_axiom_sweep_zero_samples():
     for samples in (2.5, True):
         with pytest.raises(ValueError, match="samples must be an int"):
             axiom_sweep(NORMAL, samples, 0)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this Python")
+def test_caps_name_counts_too_long_to_print():
+    # Each count has more digits than str() converts, so the message names the
+    # power of two at or below it instead of failing to format it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match=r"^pool of at least 2\*\*15940 monomials "
+                                             r"exceeds the cap of 1000000$"):
+            random_observable(0, 10**1200)
+        with pytest.raises(ValueError, match=r"^axiom sweep of at least 2\*\*16609 "
+                                             r"samples exceeds the cap of 1000000$"):
+            axiom_sweep(NORMAL, 10**5000, 0)
+        with pytest.raises(ValueError, match=r"^scan of at least 2\*\*47819 triples "
+                                             r"exceeds the cap of 10000000$"):
+            scan(ScanConfig(kind=NORMAL, max_degree=10**1200))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_axiom_sweep_detects_violations():
