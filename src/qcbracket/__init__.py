@@ -22,7 +22,6 @@ from .algebra import (
     monomial_observable,
     reorder,
     scale,
-    symbol_poisson,
 )
 from .brackets import (
     MIXED_KINDS,
@@ -32,7 +31,6 @@ from .brackets import (
     aleksandrov_bracket,
     axiom_residuals,
     bracket,
-    classical_limit_residual,
     jacobi_residual,
     leibniz_residual,
     normal_bracket,
@@ -68,7 +66,6 @@ __all__ = [
     "reorder",
     "divide_by_i_hbar",
     "hbar_zero",
-    "symbol_poisson",
     "monomial_observable",
     "BracketKind",
     "ResidualReport",
@@ -83,7 +80,6 @@ __all__ = [
     "jacobi_residual",
     "leibniz_residual",
     "axiom_residuals",
-    "classical_limit_residual",
     "ScanConfig",
     "ViolationRecord",
     "enumerate_monomials",

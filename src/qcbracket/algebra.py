@@ -492,12 +492,6 @@ def _commuted(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries
     return tuple((j, w) for j, w in sorted(diff.items()) if w)
 
 
-def _qp_poisson(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSeries], ...]:
-    """dW1/dq dW2/dp - dW1/dp dW2/dq on commuting q, p: one j = 1 term, or none."""
-    weight = r1 * t2 - t1 * r2
-    return ((1, HbarSeries({0: weight})),) if weight else ()
-
-
 def _product(a: Observable, b: Observable, word=_reordered, poisson=False) -> Observable:
     """Sum over term pairs of c1*c2 times each term (j, w_j) of their word.
 
@@ -557,18 +551,6 @@ def hbar_zero(a: Observable) -> Observable:
     """Keep only the hbar-degree-0 part of every coefficient."""
     kept = {m: _make(HbarSeries, {0: c.terms[0]}) for m, c in a.terms.items() if 0 in c.terms}
     return _make(Observable, kept) if kept else ZERO
-
-
-def symbol_poisson(a: Observable, b: Observable) -> Observable:
-    """Full two-degree-of-freedom Poisson bracket on commuting symbols.
-
-    dA/dx dB/dk - dA/dk dB/dx + dA/dq dB/dp - dA/dp dB/dq, with all products
-    commutative.  This is the classical-limit oracle; both inputs must be
-    hbar-free (apply hbar_zero first).
-    """
-    if hbar_zero(a) != a or hbar_zero(b) != b:
-        raise ValueError("symbol_poisson requires hbar-free inputs")
-    return _product(a, b, _concatenated, poisson=True) + _product(a, b, _qp_poisson)
 
 
 def monomial_observable(monomial: Monomial) -> Observable:

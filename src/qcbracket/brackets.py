@@ -19,9 +19,9 @@ joined in written order (``_reordered``), as the mean of both orders
 (``_symmetrized``), or concatenated (``_concatenated``).  This module only
 defines brackets and residuals; the tables and the kernel live in ``algebra``.
 
-Residual functionals (Jacobi, Leibniz, the sector-factorization axioms, the
-classical limit) return the full residual observable so that violation
-magnitudes are inspectable exactly, not just as booleans.
+Residual functionals (Jacobi, Leibniz, the sector-factorization axioms) return
+the full residual observable so that violation magnitudes are inspectable
+exactly, not just as booleans.
 
 In a scan, whose monomials carry the unit coefficient series, products with it
 are free (``HbarSeries.__mul__``), an antisymmetric kind's Jacobi residual is
@@ -50,8 +50,6 @@ from .algebra import (
     _reordered,
     _symmetrized,
     divide_by_i_hbar,
-    hbar_zero,
-    symbol_poisson,
 )
 
 
@@ -211,21 +209,3 @@ def axiom_residuals(kind: BracketKind, c: Observable, q: Observable,
     first = bracket(kind, cq, c2) - ordered_poisson(c, c2) * q
     second = bracket(kind, cq, q2) - quantum_bracket(q, q2) * c
     return ResidualReport(first), ResidualReport(second)
-
-
-def classical_limit_residual(kind: BracketKind, a: Observable,
-                             b: Observable) -> ResidualReport:
-    """hbar -> 0 of the bracket minus the symbol-level Poisson bracket.
-
-    Any admissible bracket must collapse to the full commutative Poisson
-    bracket in the classical limit.  The commutator kind only reproduces the
-    q,p half, so it is checked on quantum-only inputs.
-    """
-    if kind is BracketKind.POISSON:
-        raise ValueError(f"classical limit is not defined for kind {kind.value!r}")
-    if kind is BracketKind.COMMUTATOR:
-        if not (a.is_quantum() and b.is_quantum()):
-            raise InvalidSectorError(
-                "commutator classical limit requires quantum-only inputs")
-    return ResidualReport(
-        hbar_zero(bracket(kind, a, b)) - symbol_poisson(hbar_zero(a), hbar_zero(b)))

@@ -16,8 +16,7 @@ from .brackets import BracketKind, jacobi_residual, leibniz_residual
 from .brackets import bracket as bracket_of
 from .explorer import IDENTITIES, SECTORS, ScanConfig, axiom_sweep
 from .explorer import scan as run_scan
-from .syntax import (DEGREE_CAP, ExponentError, OutputRecord, _degree,
-                     format_observable, parse)
+from .syntax import OutputRecord, check_inputs, format_observable, parse
 
 # --- subcommands ------------------------------------------------------------
 
@@ -40,13 +39,9 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _parse_inputs(*texts: str) -> list[Observable]:
-    """Parse a command's inputs, refusing them if the products it forms
-    would pass DEGREE_CAP: their degree is the sum of the input degrees."""
-    inputs = [parse(text) for text in texts]
-    total = sum(_degree(a) for a in inputs)
-    if total > DEGREE_CAP:
-        raise ExponentError(
-            f"inputs of total degree {total} exceed the cap of {DEGREE_CAP}")
+    """Parse a command's inputs, refused if the products it forms would pass
+    the size budget."""
+    check_inputs(inputs := [parse(text) for text in texts])
     return inputs
 
 

@@ -14,7 +14,7 @@ ambiguous with multi-letter names like "hbar".  Division exists only inside
 rational literals; exponents are unsigned integers capped at 64, and no
 product or power may reach a total degree (hbar counted) above 1024 or
 coefficients too long to print (estimated from its operands), nor may the
-summed degree of the inputs of one bracket or identity command pass 1024.
+summed inputs of one bracket or identity command, nor any integer literal.
 The Unicode "ℏ" is accepted on input as an alias for "hbar" but never printed.
 
 Factor order is preserved through evaluation, so "p*q" and "q*p" denote
@@ -46,14 +46,16 @@ DEGREE_CAP = 1024
 # Parentheses nest by recursion; the cap keeps deep input a SyntaxError
 # instead of a RecursionError.
 NESTING_CAP = 100
+# The interpreter's int-to-str digit limit, read at each use; 0 where it has none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 _SYMBOL_NAMES = ("x", "k", "q", "p", "hbar", "i")
 
 
 class ExponentError(SyntaxError):
-    """Exponent outside the supported range (negative, or above the cap),
-    or a product, power or command whose degree would exceed DEGREE_CAP,
-    or a product or power whose coefficients would be too long to print."""
+    """Exponent outside the supported range (negative, or above the cap), or a
+    product, power, command or integer literal whose degree would exceed
+    DEGREE_CAP or whose coefficients would be too long to print."""
 
 
 # --- tokenizer and parser ---------------------------------------------------
@@ -110,19 +112,32 @@ def _bits(a: Observable) -> int:
                 for s in a.terms.values() for c in s.terms.values()), default=0)
 
 
-def _check_size(degree: int, bits: int, pos: int) -> None:
-    """Refuse a product or power, before it is computed, whose degree passes
-    DEGREE_CAP or whose estimated coefficients the interpreter would not print."""
+def _check_size(degree: int, bits: int, pos: int | None) -> None:
+    """Refuse a product or power at ``pos``, before it is computed, whose degree
+    passes DEGREE_CAP or whose estimated coefficients the interpreter would not
+    print.  With no position, refuse a command's inputs the same way: the
+    products it forms have at most their summed degree and bits."""
     if degree > DEGREE_CAP:
-        raise ExponentError(
-            f"result degree {degree} at position {pos}"
-            f" exceeds the cap of {DEGREE_CAP}")
-    # Interpreters without the int-to-str digit limit print any int.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and bits * log10(2) > limit:
-        raise ExponentError(
-            f"result coefficients of about {bits} bits at position {pos}"
-            f" exceed the {limit}-digit limit of int printing")
+        what = (f"inputs of total degree {degree} exceed" if pos is None
+                else f"result degree {degree} at position {pos} exceeds")
+        raise ExponentError(f"{what} the cap of {DEGREE_CAP}")
+    if bits * log10(2) > (limit := _digit_limit()) > 0:
+        what = (f"input coefficients of about {bits} bits in total" if pos is None
+                else f"result coefficients of about {bits} bits at position {pos}")
+        raise ExponentError(f"{what} exceed the {limit}-digit limit of int printing")
+
+
+def check_inputs(inputs: list[Observable]) -> None:
+    """Refuse a command's inputs, as ``_check_size`` does, before it runs."""
+    _check_size(sum(map(_degree, inputs)), sum(map(_bits, inputs)), None)
+
+
+def _int(tok: _Token) -> int:
+    """An int token's value, refused before ``int()`` if it is too long to read."""
+    if len(tok.text) > (limit := _digit_limit()) > 0:
+        raise ExponentError(f"integer of {len(tok.text)} digits at position {tok.pos}"
+                            f" exceeds the {limit}-digit limit of int parsing")
+    return int(tok.text)
 
 
 def _unknown_symbol(tok: _Token) -> SyntaxError:
@@ -186,7 +201,11 @@ class _Parser:
             raise SyntaxError(
                 f"expected integer exponent at position {tok.pos}")
         self.take()
-        exponent = int(tok.text)
+        # More digits than the cap: refused unread, the number never printed.
+        if (digits := len(tok.text.lstrip("0"))) > len(str(EXPONENT_CAP)):
+            raise ExponentError(f"exponent of {digits} digits at position {tok.pos}"
+                                f" exceeds the cap of {EXPONENT_CAP}")
+        exponent = _int(tok)
         if exponent > EXPONENT_CAP:
             raise ExponentError(
                 f"exponent {exponent} at position {tok.pos}"
@@ -197,7 +216,7 @@ class _Parser:
     def base(self) -> Observable:
         tok = self.take()
         if tok.kind == "int":
-            numerator = int(tok.text)
+            numerator = _int(tok)
             if self.peek().kind != "/":
                 return from_scalar(Fraction(numerator))
             self.take()
@@ -206,9 +225,9 @@ class _Parser:
                 raise SyntaxError(
                     f"expected integer denominator at position {den.pos}")
             self.take()
-            if int(den.text) == 0:
+            if (denominator := _int(den)) == 0:
                 raise SyntaxError(f"zero denominator at position {den.pos}")
-            return from_scalar(Fraction(numerator, int(den.text)))
+            return from_scalar(Fraction(numerator, denominator))
         if tok.kind == "name":
             if tok.text in _SYMBOL_NAMES:
                 return generator(tok.text)

@@ -6,10 +6,12 @@ x^n_x k^n_k q^n_q p^n_p times hbar to the power ``hbar``, every q left of
 every p.  Each operation is written from its definition.  The operator
 product is the standard-ordered star product of Agarwal & Wolf (Phys. Rev.
 D 2, 2161, 1970), on top of partial derivatives and the commutative symbol
-product.  The brackets are built from those, and Jacobi and Leibniz compute
-all their terms whatever the arguments.  ``swaps`` normal-orders p^t q^r by literal
-rewrites, knowing nothing of a closed form.  A part stays an int while it is
-integral, which keeps exhaustive scans affordable.
+product.  The brackets are built from those, as is ``symbol_poisson``, the
+commutative Poisson bracket that the mixed brackets reduce to at hbar = 0.
+Jacobi and Leibniz compute all their terms whatever the arguments.
+``swaps`` normal-orders p^t q^r by literal rewrites, knowing nothing of a
+closed form.  A part stays an int while it is integral, which keeps
+exhaustive scans affordable.
 """
 
 from fractions import Fraction
@@ -83,6 +85,11 @@ def star(f, g):
         j, weight = j + 1, (weight[1], -weight[0])
 
 
+def hbar_zero(a):
+    """The hbar-free terms of ``a``."""
+    return {key: c for key, c in a.items() if key[4] == 0}
+
+
 def divided_by_i_hbar(a):
     """Each coefficient c*hbar^h becomes (c/i)*hbar^(h-1): (re, im) -> (im, -re)."""
     if any(key[4] == 0 for key in a):
@@ -132,6 +139,14 @@ def normal_classical(a, b):
 
 def normal(a, b):
     return add(commutator(a, b), normal_classical(a, b))
+
+
+def symbol_poisson(a, b):
+    """dA/dx dB/dk - dA/dk dB/dx + dA/dq dB/dp - dA/dp dB/dq, all products commutative."""
+    def half(u, v):
+        return sub(symbol_product(derivative(a, u), derivative(b, v)),
+                   symbol_product(derivative(a, v), derivative(b, u)))
+    return add(half(0, 1), half(2, 3))
 
 
 # Keyed by the values of ``qcbracket.BracketKind``.

@@ -8,10 +8,12 @@ import pytest
 from qcbracket import (
     ONE,
     ZERO,
+    BracketKind,
     GaussianRational,
     HbarSeries,
     NotDivisibleError,
     Observable,
+    bracket,
     divide_by_i_hbar,
     format_observable,
     from_scalar,
@@ -21,7 +23,6 @@ from qcbracket import (
     parse,
     reorder,
     scale,
-    symbol_poisson,
 )
 import reference
 from oracles import build, to_reference
@@ -330,22 +331,25 @@ def test_min_hbar_degree():
     assert ZERO.min_hbar_degree() is None
 
 
-# --- commutative symbol bracket ----------------------------------------------
+# --- classical limit: the commutative symbol bracket ---------------------------
+
+# At hbar = 0 the mixed kinds are the commutative Poisson bracket, and so is the
+# commutator on quantum pairs.
+MIXED = (BracketKind.ALEKSANDROV, BracketKind.NORMAL_ORDER)
+
 
 def test_symbol_poisson_canonical_pairs():
-    assert symbol_poisson(X, K) == ONE
-    assert symbol_poisson(Q, P) == ONE
-    assert symbol_poisson(K, X) == scale(-1, ONE)
+    for kind in MIXED:
+        assert hbar_zero(bracket(kind, X, K)) == ONE
+        assert hbar_zero(bracket(kind, K, X)) == scale(-1, ONE)
+    for kind in MIXED + (BracketKind.COMMUTATOR,):
+        assert hbar_zero(bracket(kind, Q, P)) == ONE
 
 
 def test_symbol_poisson_hand_value():
     qp, q2 = Q * P, Q * Q
-    assert symbol_poisson(qp, q2) == scale(-2, q2)
-
-
-def test_symbol_poisson_rejects_hbar():
-    with pytest.raises(ValueError):
-        symbol_poisson(HBAR, X)
+    for kind in MIXED + (BracketKind.COMMUTATOR,):
+        assert hbar_zero(bracket(kind, qp, q2)) == scale(-2, q2)
 
 
 # --- canonical representation ------------------------------------------------

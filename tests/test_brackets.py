@@ -14,8 +14,8 @@ from qcbracket import (
     axiom_residuals,
     axiom_sweep,
     bracket,
-    classical_limit_residual,
     generator,
+    hbar_zero,
     jacobi_residual,
     leibniz_residual,
     normal_bracket,
@@ -144,7 +144,6 @@ def test_a_kind_that_is_not_a_bracket_kind_raises_value_error():
             lambda: jacobi_residual(kind, X, X, X),
             lambda: leibniz_residual(kind, X, K, Q),
             lambda: axiom_residuals(kind, c, q, c, q),
-            lambda: classical_limit_residual(kind, X, K),
             lambda: axiom_sweep(kind, 1, 0),
         )
         for call in calls:
@@ -245,24 +244,17 @@ def test_axiom_residuals_reject_mixed_inputs():
 # --- classical limit ----------------------------------------------------------
 
 def test_classical_limit_mixed_kinds():
+    # At hbar = 0 both mixed brackets are the commutative Poisson bracket in
+    # both pairs.
     xq, kp = X * Q, K * P
-    assert classical_limit_residual(BracketKind.ALEKSANDROV, xq, kp).is_zero
-    assert classical_limit_residual(BracketKind.NORMAL_ORDER, xq, kp).is_zero
+    assert hbar_zero(bracket(BracketKind.ALEKSANDROV, xq, kp)) == X * K + Q * P
+    assert hbar_zero(bracket(BracketKind.NORMAL_ORDER, xq, kp)) == X * K + Q * P
 
 
 def test_classical_limit_commutator():
-    assert classical_limit_residual(
-        BracketKind.COMMUTATOR, parse("q^2"), parse("p^2")).is_zero
-
-
-def test_classical_limit_commutator_requires_quantum_inputs():
-    with pytest.raises(InvalidSectorError):
-        classical_limit_residual(BracketKind.COMMUTATOR, X * Q, P)
-
-
-def test_classical_limit_rejects_poisson_kind():
-    with pytest.raises(ValueError):
-        classical_limit_residual(BracketKind.POISSON, X, K)
+    # [q^2, p^2]/(i*hbar) = 4*q*p - 2*i*hbar: the q,p Poisson bracket at hbar = 0.
+    value = bracket(BracketKind.COMMUTATOR, parse("q^2"), parse("p^2"))
+    assert hbar_zero(value) == parse("4*q*p")
 
 
 def test_word_tables_are_bounded():

@@ -39,6 +39,19 @@ from oracles import build
 
 X, K, Q, P = (generator(n) for n in "xkqp")
 
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="no int-to-str digit limit on this Python")
+
+
+@contextlib.contextmanager
+def _digit_limit(digits):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
 
 # --- parsing -------------------------------------------------------------------
 
@@ -89,6 +102,7 @@ def test_parse_unicode_hbar_alias():
 
 def test_parse_exponent_cap_is_inclusive():
     assert parse("q^64") == Q ** 64
+    assert parse("q^0064") == Q ** 64
 
 
 def test_parse_rejects_juxtaposition():
@@ -205,6 +219,40 @@ def test_command_inputs_past_the_degree_cap_exit_2(capsys, argv, total):
     assert captured.out == ""
     assert captured.err == (f"error: inputs of total degree {total}"
                             " exceed the cap of 1024\n")
+
+
+_NINES = "9" * 5000
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("text, message", [
+    # An exponent meets its cap first, the number unprinted.
+    ("x^" + _NINES, "exponent of 5000 digits at position 3 exceeds the cap of 64"),
+    (_NINES, "integer of 5000 digits at position 1 exceeds the 4300-digit limit of int parsing"),
+    ("1/" + _NINES,
+     "integer of 5000 digits at position 3 exceeds the 4300-digit limit of int parsing"),
+])
+def test_integer_literals_past_the_digit_limit_exit_2(capsys, text, message):
+    # Refused before int() reads them: a position, not the interpreter's message.
+    with _digit_limit(4300):
+        code = run(["canon", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@needs_digit_limit
+def test_command_inputs_past_the_digit_limit_exit_2(capsys):
+    # Each input prints; the products the bracket forms would not.
+    sevens = "7" * 4000
+    with _digit_limit(4300):
+        code = run(["bracket", "--kind", "commutator", f"{sevens}*q", f"{sevens}*p"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: input coefficients of about 26576 bits in total"
+                            " exceed the 4300-digit limit of int printing\n")
 
 
 def test_command_inputs_at_the_degree_cap_run(capsys):
@@ -573,16 +621,11 @@ def test_scan_past_the_triple_cap_exits_2(capsys):
                             " of 10000000\n")
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="no int-to-str digit limit on this Python")
+@needs_digit_limit
 def test_scan_past_the_triple_cap_with_an_unprintable_count_exits_2(capsys):
     # The degree prints, but the triple count has too many digits to.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with _digit_limit(4300):
         code = run(["scan", "--kind", "normal", "--max-degree", str(10**1200)])
-    finally:
-        sys.set_int_max_str_digits(limit)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -603,18 +646,13 @@ def test_axioms_outside_the_sample_budget_exit_2(capsys, samples, message):
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="no int-to-str digit limit on this Python")
+@needs_digit_limit
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_unprintable_result_exits_2(capsys, fmt):
     # A coefficient past the int-to-str digit limit is a resource error, not
     # a violation (exit 1) and not a traceback.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
+    with _digit_limit(640):
         code = run(["canon", "(p^64)^8*(q^64)^8", "--format", fmt])
-    finally:
-        sys.set_int_max_str_digits(limit)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -76,3 +76,20 @@ def test_the_reference_reproduces_the_witnesses():
     assert reference.commutator(mono(0, 0, 1, 0), mono(0, 0, 0, 1)) == mono(0, 0, 0, 0)
     assert reference.commutator(mono(1, 0, 0, 0), mono(0, 1, 0, 0)) == {}
     assert reference.poisson(mono(1, 0, 0, 0), mono(0, 1, 0, 0)) == mono(0, 0, 0, 0)
+
+
+def test_the_reference_symbol_poisson_hand_values():
+    def mono(n_x, n_k, n_q, n_p, h=0, c=1):
+        return {(n_x, n_k, n_q, n_p, h): (c, 0)}
+
+    x, k, q, p = mono(1, 0, 0, 0), mono(0, 1, 0, 0), mono(0, 0, 1, 0), mono(0, 0, 0, 1)
+    qp, q2 = mono(0, 0, 1, 1), mono(0, 0, 2, 0)
+    assert reference.symbol_poisson(x, k) == mono(0, 0, 0, 0)
+    assert reference.symbol_poisson(q, p) == mono(0, 0, 0, 0)
+    assert reference.symbol_poisson(k, x) == mono(0, 0, 0, 0, c=-1)
+    assert reference.symbol_poisson(qp, q2) == mono(0, 0, 2, 0, c=-2)
+    # {x*q, k*p} = x*k + q*p
+    assert reference.symbol_poisson(mono(1, 0, 1, 0), mono(0, 1, 0, 1)) == {
+        **mono(1, 1, 0, 0), **qp}
+    # hbar_zero keeps the hbar-free terms: q*p - i*hbar -> q*p.
+    assert reference.hbar_zero({**qp, (0, 0, 0, 0, 1): (0, -1)}) == qp
