@@ -23,6 +23,7 @@ from qcbracket import (
     ScanConfig,
     ViolationRecord,
     aleksandrov_bracket,
+    hbar_zero,
     jacobi_residual,
     monomial_observable,
     normal_bracket,
@@ -58,6 +59,17 @@ def test_brackets_equal_the_partials_and_products_oracle(a, b):
     assert to_reference(aleksandrov_bracket(a, b)) == reference.aleksandrov(ra, rb)
     assert to_reference(normal_bracket_classical(a, b)) == reference.normal_classical(ra, rb)
     assert to_reference(normal_bracket(a, b)) == reference.normal(ra, rb)
+
+
+@settings(deadline=None, max_examples=300)
+@given(observables(), observables())
+def test_symbol_poisson_equals_the_derivatives_oracle(a, b):
+    # At hbar = 0 both mixed brackets of hbar-free symbols are the commutative
+    # Poisson bracket in both pairs, which the reference builds from partials.
+    a, b = hbar_zero(a), hbar_zero(b)
+    expected = reference.symbol_poisson(to_reference(a), to_reference(b))
+    assert to_reference(hbar_zero(aleksandrov_bracket(a, b))) == expected
+    assert to_reference(hbar_zero(normal_bracket(a, b))) == expected
 
 
 def _reordering_terms(t, r):
