@@ -34,7 +34,6 @@ from .brackets import (
     jacobi_residual,
     leibniz_residual,
     normal_bracket,
-    normal_bracket_classical,
     ordered_poisson,
     quantum_bracket,
 )
@@ -42,7 +41,6 @@ from .explorer import (
     ScanConfig,
     ViolationRecord,
     axiom_sweep,
-    enumerate_monomials,
     random_observable,
     scan,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "quantum_bracket",
     "ordered_poisson",
     "aleksandrov_bracket",
-    "normal_bracket_classical",
     "normal_bracket",
     "bracket",
     "jacobi_residual",
@@ -82,7 +79,6 @@ __all__ = [
     "axiom_residuals",
     "ScanConfig",
     "ViolationRecord",
-    "enumerate_monomials",
     "scan",
     "random_observable",
     "axiom_sweep",

@@ -20,8 +20,8 @@ joined in written order (``_reordered``), as the mean of both orders
 defines brackets and residuals; the tables and the kernel live in ``algebra``.
 
 Residual functionals (Jacobi, Leibniz, the sector-factorization axioms) return
-the full residual observable so that violation magnitudes are inspectable
-exactly, not just as booleans.
+a ``ResidualReport`` holding the full residual observable, so that violation
+magnitudes are inspectable exactly, not just as booleans.
 
 In a scan, whose monomials carry the unit coefficient series, products with it
 are free (``HbarSeries.__mul__``), an antisymmetric kind's Jacobi residual is
@@ -110,20 +110,15 @@ def aleksandrov_bracket(a: Observable, b: Observable) -> Observable:
     return quantum_bracket(a, b) + _product(a, b, _symmetrized, poisson=True)
 
 
-def normal_bracket_classical(a: Observable, b: Observable) -> Observable:
-    """Classical part of the normal-ordered bracket.
+def normal_bracket(a: Observable, b: Observable) -> Observable:
+    """Normal-ordered bracket: quantum part plus the coefficient-Poisson part.
 
-    For terms a_nm(x,k) q^n p^m and b_rt(x,k) q^r p^t the contribution is
+    For terms a_nm(x,k) q^n p^m and b_rt(x,k) q^r p^t the classical part is
     {a_nm, b_rt} q^(n+r) p^(m+t): the x,k coefficients are Poisson-bracketed
     and the quantum words concatenate with no reordering, so no hbar is
     generated.
     """
-    return _product(a, b, _concatenated, poisson=True)
-
-
-def normal_bracket(a: Observable, b: Observable) -> Observable:
-    """Normal-ordered bracket: quantum part plus the coefficient-Poisson part."""
-    return quantum_bracket(a, b) + normal_bracket_classical(a, b)
+    return quantum_bracket(a, b) + _product(a, b, _concatenated, poisson=True)
 
 
 # None outside ``_pair_table``.  Inside, a dict with a key (id(a), id(b)) for

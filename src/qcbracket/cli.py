@@ -1,12 +1,14 @@
 """The command line: subcommands that parse their inputs with ``syntax.parse``,
 call the library and print text or JSON.  Exit 0 means the identity held, 1 a
-violation, 2 a usage, parse or resource error (one ``error:`` line on stderr).
+violation, 2 a usage, parse or resource error or a stdout closed by its reader
+(one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import Sequence
@@ -176,7 +178,16 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout left (as ``| head`` does).  Point stdout at
+        # devnull so that the interpreter's own flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

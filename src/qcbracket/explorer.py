@@ -125,11 +125,6 @@ def _sector_monomials(max_degree: int, sector: str) -> list[Monomial]:
     return [_monomial(i, sector) for i in range(_sector_size(max_degree, sector))]
 
 
-def enumerate_monomials(max_degree: int) -> list[Monomial]:
-    """All exponent vectors of total degree <= max_degree, in ``_monomial``'s order."""
-    return _sector_monomials(max_degree, "all")
-
-
 def _sector_size(max_degree: int, sector: str) -> int:
     """How many monomials ``_sector_monomials`` lists, without listing them."""
     variables = 4 if sector == "all" else 2

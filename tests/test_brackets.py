@@ -19,7 +19,6 @@ from qcbracket import (
     jacobi_residual,
     leibniz_residual,
     normal_bracket,
-    normal_bracket_classical,
     ordered_poisson,
     parse,
     quantum_bracket,
@@ -97,9 +96,12 @@ def test_aleksandrov_bracket_vanishes_on_equal_arguments():
 # --- normal_bracket -----------------------------------------------------------
 
 def test_normal_bracket_classical_part_examples():
-    assert normal_bracket_classical(parse("k*p"), parse("x*p")) == parse("-p^2")
-    assert normal_bracket_classical(Q, P) == ZERO
-    assert normal_bracket_classical(X * Q, K) == Q
+    # The classical part is what the bracket adds to the commutator.
+    def classical(a, b):
+        return normal_bracket(a, b) - quantum_bracket(a, b)
+    assert classical(parse("k*p"), parse("x*p")) == parse("-p^2")
+    assert classical(Q, P) == ZERO
+    assert classical(X * Q, K) == Q
 
 
 def test_normal_bracket_display_values():

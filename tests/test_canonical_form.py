@@ -25,7 +25,6 @@ from qcbracket import (
     Observable,
     bracket,
     divide_by_i_hbar,
-    enumerate_monomials,
     generator,
     hbar_zero,
     jacobi_residual,
@@ -65,7 +64,7 @@ def series_pairs(draw):
 def observables(draw, max_terms=3):
     """Degree <= 3 monomials of one sector; coefficients may be multi-term."""
     sector = draw(st.sampled_from(("all", "classical", "quantum")))
-    pool = [m for m in enumerate_monomials(3)
+    pool = [m for m in reference.monomials(3)
             if sector == "all" or (not (m[2] or m[3]) if sector == "classical"
                                    else not (m[0] or m[1]))]
     monomials = draw(st.lists(st.sampled_from(pool), max_size=max_terms, unique=True))
@@ -197,7 +196,7 @@ def test_classical_part_equals_the_oracles(pair):
 @st.composite
 def unit_observables(draw):
     """Monomials whose coefficients are all the unit series, as a scan has them."""
-    monomials = draw(st.lists(st.sampled_from(enumerate_monomials(3)), min_size=1,
+    monomials = draw(st.lists(st.sampled_from(reference.monomials(3)), min_size=1,
                               max_size=3, unique=True))
     return Observable(dict.fromkeys(monomials, _SERIES_ONE))
 

@@ -553,13 +553,17 @@ def test_long_unary_minus_chains_parse():
     assert parse("-" * 3001 + "x*q") == -(X * Q)
 
 
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports qcbracket from this checkout."""
+    src = str(Path(qcbracket.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports qcbracket from this checkout."""
-    src = str(Path(qcbracket.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=_env(), timeout=60)
 
 
 @pytest.mark.parametrize("module", ["qcbracket", "qcbracket.cli"])
@@ -584,6 +588,26 @@ def test_one_process_runs_commands_as_fresh_processes_do():
         "".join(f"{one.stdout}exit {one.returncode}\n" for one in fresh),
         "".join(f"{one.stderr}---\n" for one in fresh)]
     assert [one.returncode for one in fresh] == [2, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["canon", "x"],
+    ["scan", "--kind", "normal", "--max-degree", "2"],
+    ["scan", "--kind", "normal", "--max-degree", "2", "--format", "json"],
+    ["scan", "--kind", "normal", "--max-degree", "2", "--jobs", "2"],
+])
+def test_closed_stdout_exits_2_with_one_error_line(argv):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails, as it does when ``| head`` has stopped reading.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with subprocess.Popen([sys.executable, "-m", "qcbracket", *argv], stdout=write_end,
+                          stderr=subprocess.PIPE, text=True, env=_env()) as proc:
+        os.close(write_end)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_importing_the_library_loads_no_cli_or_pool():

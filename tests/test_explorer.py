@@ -16,7 +16,6 @@ from qcbracket import (
     ScanConfig,
     ViolationRecord,
     axiom_sweep,
-    enumerate_monomials,
     jacobi_residual,
     monomial_observable,
     parse,
@@ -40,13 +39,13 @@ QUADRATIC_TRIPLE = frozenset([(0, 1, 0, 1), (1, 0, 0, 1), (0, 0, 2, 0)])  # kp, 
 # --- enumeration ---------------------------------------------------------------
 
 def test_enumeration_counts():
-    assert len(enumerate_monomials(0)) == 1
-    assert len(enumerate_monomials(1)) == 5
-    assert len(enumerate_monomials(3)) == 35
+    assert len(_sector_monomials(0, "all")) == 1
+    assert len(_sector_monomials(1, "all")) == 5
+    assert len(_sector_monomials(3, "all")) == 35
 
 
 def test_enumeration_order_and_uniqueness():
-    monos = enumerate_monomials(3)
+    monos = _sector_monomials(3, "all")
     assert monos[0] == (0, 0, 0, 0)
     assert set(monos[1:5]) == {(0, 0, 0, 1), (0, 0, 1, 0),
                                (0, 1, 0, 0), (1, 0, 0, 0)}
@@ -56,7 +55,7 @@ def test_enumeration_order_and_uniqueness():
 
 
 def test_enumeration_respects_degree_cap():
-    assert all(sum(m) <= 2 for m in enumerate_monomials(2))
+    assert all(sum(m) <= 2 for m in _sector_monomials(2, "all"))
 
 
 # --- configuration --------------------------------------------------------------
@@ -84,7 +83,6 @@ def test_sector_monomials_are_the_enumeration_filtered():
     for degree, sector in product(range(9), SECTORS):
         expected = [m for m in reference.monomials(degree) if reference.IN_SECTOR[sector](m)]
         assert _sector_monomials(degree, sector) == expected, (degree, sector)
-    assert enumerate_monomials(8) == reference.monomials(8)
     # Far along each order, the grade walk RANDOM_POOL_CAP bounds.
     assert _monomial(_sector_size(66, "all"), "all") == (0, 0, 0, 67)
     assert _monomial(_sector_size(67, "all") - 1, "all") == (67, 0, 0, 0)
@@ -169,7 +167,7 @@ def test_canonicalization_loses_no_violations():
     closure = set()
     for record in canonical:
         closure.update(permutations(record.triple))
-    monos = enumerate_monomials(2)
+    monos = reference.monomials(2)
     direct = set()
     for triple in product(monos, repeat=3):
         report = jacobi_residual(NORMAL, *(monomial_observable(m) for m in triple))

@@ -13,7 +13,6 @@ from qcbracket import (
     aleksandrov_bracket,
     axiom_residuals,
     bracket,
-    enumerate_monomials,
     format_observable,
     hbar_zero,
     jacobi_residual,
@@ -36,7 +35,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 @st.composite
 def observables(draw, max_degree=3, max_terms=3, sector="all"):
-    pool = enumerate_monomials(max_degree)
+    pool = reference.monomials(max_degree)
     if sector == "classical":
         pool = [m for m in pool if not (m[2] or m[3])]
     elif sector == "quantum":
@@ -209,7 +208,7 @@ def graded(draw, max_terms=3):
     """A nonzero observable whose terms, of degree <= 3 and hbar-degree <= 2,
     all have one grade; with max_terms=1, a monomial."""
     grade = draw(st.integers(0, 6))
-    pool = [m for m in enumerate_monomials(3)
+    pool = [m for m in reference.monomials(3)
             if sum(m) <= grade and (grade - sum(m)) % 2 == 0 and grade - sum(m) <= 4]
     monomials = draw(st.lists(st.sampled_from(pool), min_size=1,
                               max_size=max_terms, unique=True))
