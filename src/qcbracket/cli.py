@@ -110,10 +110,15 @@ def _add_kind(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", choices=_KINDS, required=True)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # raises for a closed stdout; argparse's ignores it
+        (file or sys.stdout).write(self.format_help())
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args leaves the parser as it found it.
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qcbracket",
         description="Exact brackets on mixed quantum-classical observables.")
     commands = parser.add_subparsers(dest="command", required=True)

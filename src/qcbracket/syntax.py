@@ -19,14 +19,15 @@ The Unicode "ℏ" is accepted on input as an alias for "hbar" but never printed.
 
 Factor order is preserved through evaluation, so "p*q" and "q*p" denote
 different products even though both print in canonical form (q before p).
+The printer and the JSON writer and reader work on each coefficient's integer
+triple (a + b*i)/d, with no Fraction; a part past the digit limit is a ValueError.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import log10
+from math import gcd, log10
 from typing import Any, Mapping
 
 from .algebra import (
@@ -34,6 +35,7 @@ from .algebra import (
     HbarSeries,
     Monomial,
     Observable,
+    _gr,
     from_scalar,
     generator,
 )
@@ -218,7 +220,7 @@ class _Parser:
         if tok.kind == "int":
             numerator = _int(tok)
             if self.peek().kind != "/":
-                return from_scalar(Fraction(numerator))
+                return from_scalar(numerator)
             self.take()
             den = self.peek()
             if den.kind != "int":
@@ -227,7 +229,7 @@ class _Parser:
             self.take()
             if (denominator := _int(den)) == 0:
                 raise SyntaxError(f"zero denominator at position {den.pos}")
-            return from_scalar(Fraction(numerator, denominator))
+            return from_scalar(_gr(numerator, 0, denominator))
         if tok.kind == "name":
             if tok.text in _SYMBOL_NAMES:
                 return generator(tok.text)
@@ -264,22 +266,23 @@ def parse(text: str) -> Observable:
 # --- canonical text ---------------------------------------------------------
 
 def _display_terms(a: Observable):
-    # Graded-lex descending on (n_x, n_k, n_q, n_p); hbar degrees ascending
-    # inside each monomial.
+    # Graded-lex descending on (n_x, n_k, n_q, n_p); hbar degrees ascending inside
+    # each monomial.  (a + b*i)/d is read as (a, d) and (b, d) in lowest terms.
     for mono in sorted(a.terms, key=lambda m: (sum(m), m), reverse=True):
-        yield mono, sorted(a.terms[mono].terms.items())
+        series = []
+        for degree, c in sorted(a.terms[mono].terms.items()):
+            g, h = gcd(c._a, c._d), gcd(c._b, c._d)
+            series.append((degree, (c._a // g, c._d // g), (c._b // h, c._d // h)))
+        yield mono, series
 
 
-def _atom(rational: Fraction, imaginary: bool, hbar_degree: int,
-          mono: Monomial) -> tuple[bool, str]:
+def _atom(n: int, d: int, imaginary: bool, hbar_degree: int, mono: Monomial) -> str:
+    """The term of n/d (lowest terms, d > 0) as " + factors" or " - factors"."""
     factors: list[str] = []
-    magnitude = abs(rational)
+    magnitude = abs(n)
     bare = not imaginary and hbar_degree == 0 and sum(mono) == 0
-    if magnitude != 1 or bare:
-        if magnitude.denominator == 1:
-            factors.append(str(magnitude))
-        else:
-            factors.append(f"({magnitude})")
+    if magnitude != 1 or d != 1 or bare:
+        factors.append(str(magnitude) if d == 1 else f"({magnitude}/{d})")
     if imaginary:
         factors.append("i")
     if hbar_degree == 1:
@@ -291,26 +294,25 @@ def _atom(rational: Fraction, imaginary: bool, hbar_degree: int,
             factors.append(name)
         elif exponent > 1:
             factors.append(f"{name}^{exponent}")
-    return rational < 0, "*".join(factors)
+    return f" {'-' if n < 0 else '+'} {'*'.join(factors)}"
 
 
 def format_observable(a: Observable) -> str:
     """Deterministic canonical text; the zero observable prints as "0"."""
-    atoms: list[tuple[bool, str]] = []
-    for mono, series in _display_terms(a):
-        for degree, coeff in series:
-            re, im = coeff.re, coeff.im
-            if re:
-                atoms.append(_atom(re, False, degree, mono))
-            if im:
-                atoms.append(_atom(im, True, degree, mono))
-    if not atoms:
-        return "0"
-    negative, text = atoms[0]
-    pieces = [f"-{text}" if negative else text]
-    for negative, text in atoms[1:]:
-        pieces.append(f" - {text}" if negative else f" + {text}")
-    return "".join(pieces)
+    atoms: list[str] = []
+    try:
+        for mono, series in _display_terms(a):
+            for degree, (n, d), (m, e) in series:
+                if n:
+                    atoms.append(_atom(n, d, False, degree, mono))
+                if m:
+                    atoms.append(_atom(m, e, True, degree, mono))
+    except ValueError:  # str() of an int past the digit limit
+        raise ValueError(f"output coefficients of about {_bits(a)} bits exceed the"
+                         f" {_digit_limit()}-digit limit of int printing") from None
+    # The first term drops its " + " and prints " - " as "-".
+    text = "".join(atoms)
+    return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # --- JSON records -----------------------------------------------------------
@@ -361,7 +363,9 @@ class OutputRecord:
                             f"a part is two ints over a nonzero denominator, not {re!r}, {im!r}")
                     if degree in coeff:
                         raise ValueError(f"repeated hbar degree {degree!r} in the term {exp}")
-                    coeff[degree] = GaussianRational(Fraction(a, b), Fraction(e, d))
+                    if (b < 0) != (d < 0):  # a/b + (e/d)*i = (a*d + e*b*i)/(b*d)
+                        a, b = -a, -b
+                    coeff[degree] = _gr(a * d, e * b, b * d)
                 if exp in terms:
                     raise ValueError(f"repeated exponents {exp} in the record")
                 terms[exp] = HbarSeries(coeff)
@@ -370,10 +374,9 @@ class OutputRecord:
             raise ValueError(f"malformed record: {exc!r}") from None
 
     def as_dict(self) -> dict:
-        terms = [{"exp": mono, "coeff": [
-            {"hbar": degree, "re": (g.re.numerator, g.re.denominator),
-             "im": (g.im.numerator, g.im.denominator)} for degree, g in series]}
-            for mono, series in _display_terms(self.observable)]
+        terms = [{"exp": mono, "coeff": [{"hbar": degree, "re": re, "im": im}
+                                         for degree, re, im in series]}
+                 for mono, series in _display_terms(self.observable)]
         return {"schema": self.SCHEMA, "canonical_text": self.canonical_text, "terms": terms}
 
     def to_observable(self) -> Observable:

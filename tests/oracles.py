@@ -7,13 +7,17 @@ value into it through ``terms``, ``re`` and ``im`` alone, and
 oracle here calls a package operator.  ``FractionGaussian`` is the
 coefficient type the package replaced, kept as the reference for its
 integer-triple successor.  ``assert_canonical`` checks the canonical form
-every result must have.
+every result must have.  ``format_observable``, ``record_as_dict`` and
+``record_from_dict`` are, unchanged, the ``Fraction``-based printer, JSON
+writer and JSON reader that the package replaced with ones that read the
+integer triple: the reference for their output, byte for byte, and for the
+values they read.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Any, Mapping, Union
 
 from qcbracket import GaussianRational, HbarSeries, Observable
 
@@ -138,3 +142,92 @@ def assert_canonical(value: "Observable | HbarSeries") -> None:
             num_re, num_im, den = c._a, c._b, c._d
             assert den > 0 and (num_re or num_im), (m, degree, num_re, num_im, den)
             assert gcd(num_re, num_im, den) == 1, (m, degree, num_re, num_im, den)
+
+
+# --- the Fraction-based printer, JSON writer and JSON reader ------------------
+
+def _display_terms(a: Observable):
+    # Graded-lex descending on (n_x, n_k, n_q, n_p); hbar degrees ascending
+    # inside each monomial.
+    for mono in sorted(a.terms, key=lambda m: (sum(m), m), reverse=True):
+        yield mono, sorted(a.terms[mono].terms.items())
+
+
+def _atom(rational: Fraction, imaginary: bool, hbar_degree: int,
+          mono: tuple) -> tuple[bool, str]:
+    factors: list[str] = []
+    magnitude = abs(rational)
+    bare = not imaginary and hbar_degree == 0 and sum(mono) == 0
+    if magnitude != 1 or bare:
+        if magnitude.denominator == 1:
+            factors.append(str(magnitude))
+        else:
+            factors.append(f"({magnitude})")
+    if imaginary:
+        factors.append("i")
+    if hbar_degree == 1:
+        factors.append("hbar")
+    elif hbar_degree > 1:
+        factors.append(f"hbar^{hbar_degree}")
+    for name, exponent in zip("xkqp", mono):
+        if exponent == 1:
+            factors.append(name)
+        elif exponent > 1:
+            factors.append(f"{name}^{exponent}")
+    return rational < 0, "*".join(factors)
+
+
+def format_observable(a: Observable) -> str:
+    """Deterministic canonical text; the zero observable prints as "0"."""
+    atoms: list[tuple[bool, str]] = []
+    for mono, series in _display_terms(a):
+        for degree, coeff in series:
+            re, im = coeff.re, coeff.im
+            if re:
+                atoms.append(_atom(re, False, degree, mono))
+            if im:
+                atoms.append(_atom(im, True, degree, mono))
+    if not atoms:
+        return "0"
+    negative, text = atoms[0]
+    pieces = [f"-{text}" if negative else text]
+    for negative, text in atoms[1:]:
+        pieces.append(f" - {text}" if negative else f" + {text}")
+    return "".join(pieces)
+
+
+def record_as_dict(a: Observable) -> dict:
+    """The schema-1 JSON record of ``a``, as ``OutputRecord.as_dict`` wrote it."""
+    terms = [{"exp": mono, "coeff": [
+        {"hbar": degree, "re": (g.re.numerator, g.re.denominator),
+         "im": (g.im.numerator, g.im.denominator)} for degree, g in series]}
+        for mono, series in _display_terms(a)]
+    return {"schema": 1, "canonical_text": format_observable(a), "terms": terms}
+
+
+def record_from_dict(payload: Mapping[str, Any]) -> Observable:
+    """The observable of a schema-1 record, as ``OutputRecord.from_dict`` read it."""
+    try:  # a payload of any other shape is a ValueError too
+        if type(schema := payload.get("schema")) is not int or schema != 1:
+            raise ValueError(f"unsupported schema {schema!r}")
+        if type(text := payload["canonical_text"]) is not str:
+            raise ValueError(f"canonical_text is a string, not {text!r}")
+        # A dict keeps the last of two entries on one key: refuse them instead.
+        terms: dict = {}
+        for term in payload["terms"]:
+            exp, coeff = Observable._key(term["exp"]), {}
+            for c in term["coeff"]:
+                degree, re, im = HbarSeries._key(c["hbar"]), c["re"], c["im"]
+                (a, b), (e, d) = re, im  # a part of another length is a ValueError here
+                if not (type(a) is type(b) is type(e) is type(d) is int and b and d):
+                    raise ValueError(
+                        f"a part is two ints over a nonzero denominator, not {re!r}, {im!r}")
+                if degree in coeff:
+                    raise ValueError(f"repeated hbar degree {degree!r} in the term {exp}")
+                coeff[degree] = GaussianRational(Fraction(a, b), Fraction(e, d))
+            if exp in terms:
+                raise ValueError(f"repeated exponents {exp} in the record")
+            terms[exp] = HbarSeries(coeff)
+        return Observable(terms)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed record: {exc!r}") from None

@@ -35,7 +35,8 @@ from qcbracket.syntax import (
     format_observable,
     parse,
 )
-from oracles import build
+import oracles
+from oracles import assert_canonical, build
 
 X, K, Q, P = (generator(n) for n in "xkqp")
 
@@ -392,6 +393,64 @@ def test_malformed_records_raise_value_error(payload):
         OutputRecord.from_dict(payload).to_observable()
 
 
+# --- printers and reader against the Fraction oracle ---------------------------
+
+# Parts that are zero, negative, over a non-unit denominator or past 2**64.
+_NUMERATORS = st.integers(-4, 4) | st.integers(-2**80, 2**80)
+_DENOMINATORS = st.integers(1, 12) | st.integers(1, 2**80)
+_FRACTIONS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+_EXPONENTS = st.tuples(*[st.integers(0, 2)] * 4)
+
+
+@st.composite
+def _exact_observables(draw):
+    """Observables of up to four monomials with up to three hbar degrees each."""
+    return build(draw(st.dictionaries(_EXPONENTS, st.dictionaries(
+        st.integers(0, 5), st.tuples(_FRACTIONS, _FRACTIONS), max_size=3), max_size=4)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_exact_observables())
+def test_text_and_json_equal_the_fraction_oracle(a):
+    assert format_observable(a) == oracles.format_observable(a)
+    text = json.dumps(OutputRecord(a).as_dict())
+    assert text == json.dumps(oracles.record_as_dict(a))
+    assert OutputRecord.from_dict(json.loads(text)).to_observable() == a
+
+
+# Unreduced pairs, negative denominators and zero parts, beside arbitrary ones.
+_PAIRS = (st.sampled_from([[2, 4], [1, -2], [-3, -6], [0, 1], [0, -7], [6, -4]])
+          | st.tuples(_NUMERATORS, _DENOMINATORS | _DENOMINATORS.map(lambda d: -d)).map(list))
+
+
+@st.composite
+def _payloads(draw):
+    terms = [{"exp": list(exp), "coeff": [{"hbar": degree, "re": re, "im": im}
+                                          for degree, (re, im) in coeff.items()]}
+             for exp, coeff in draw(st.dictionaries(_EXPONENTS, st.dictionaries(
+                 st.integers(0, 5), st.tuples(_PAIRS, _PAIRS), max_size=3), max_size=4)).items()]
+    return {"schema": 1, "canonical_text": "", "terms": terms}
+
+
+@settings(deadline=None, max_examples=300)
+@given(_payloads())
+def test_from_dict_equals_the_fraction_oracle(payload):
+    a = OutputRecord.from_dict(payload).to_observable()
+    assert_canonical(a)
+    assert a == oracles.record_from_dict(payload)
+
+
+def test_from_dict_reduces_pairs_and_drops_zero_coefficients():
+    payload = {"schema": 1, "canonical_text": "", "terms": [
+        {"exp": [1, 0, 0, 0], "coeff": [{"hbar": 0, "re": [2, 4], "im": [-3, -6]},
+                                        {"hbar": 1, "re": [1, -2], "im": [0, -5]}]},
+        {"exp": [0, 1, 0, 0], "coeff": [{"hbar": 2, "re": [0, 3], "im": [0, -1]}]}]}
+    a = OutputRecord.from_dict(payload).to_observable()
+    assert_canonical(a)
+    assert a == build({(1, 0, 0, 0): {0: ((1, 2), (1, 2)), 1: ((-1, 2), 0)}})
+    assert format_observable(a) == "(1/2)*x + (1/2)*i*x - (1/2)*hbar*x"
+
+
 # --- command line ----------------------------------------------------------------
 
 def test_canon_command(capsys):
@@ -595,19 +654,24 @@ def test_one_process_runs_commands_as_fresh_processes_do():
     ["scan", "--kind", "normal", "--max-degree", "2"],
     ["scan", "--kind", "normal", "--max-degree", "2", "--format", "json"],
     ["scan", "--kind", "normal", "--max-degree", "2", "--jobs", "2"],
+    ["--help"],
+    ["scan", "--help"],
 ])
 def test_closed_stdout_exits_2_with_one_error_line(argv):
     # The read end is closed before the child starts, so its first write to
-    # stdout fails, as it does when ``| head`` has stopped reading.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    with subprocess.Popen([sys.executable, "-m", "qcbracket", *argv], stdout=write_end,
-                          stderr=subprocess.PIPE, text=True, env=_env()) as proc:
-        os.close(write_end)
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 2
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-    assert "Traceback" not in err and "Exception ignored" not in err
+    # stdout fails, as it does when ``| head`` has stopped reading.  Buffered,
+    # the write fails at the flush; unbuffered, inside the write itself.
+    for unbuffered in ("", "1"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with subprocess.Popen([sys.executable, "-m", "qcbracket", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**_env(), "PYTHONUNBUFFERED": unbuffered}) as proc:
+            os.close(write_end)
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2, unbuffered
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_importing_the_library_loads_no_cli_or_pool():
@@ -680,7 +744,8 @@ def test_unprintable_result_exits_2(capsys, fmt):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == ("error: output coefficients of about 3933 bits exceed"
+                            " the 640-digit limit of int printing\n")
 
 
 # --- exit codes on any input -------------------------------------------------
