@@ -21,9 +21,9 @@ or ``Observable`` can be set or deleted (``_Frozen``).  ``HbarSeries`` and
 constructor checks every key and coerces every value, so each value has one
 canonical form; results built in this package go through the trusted
 ``_make``.  Both merge through the one ``+``, which drops a key where its
-values cancel, and ``a - b`` is ``a + -b``.  ``GaussianRational`` divides
-only by an int or a ``Fraction``.  Every operation is a pure function of its
-inputs, so everything here is safe to share across threads.
+values cancel, and ``a - b`` is ``a + -b``.  ``Fraction`` is only a public edge
+of ``GaussianRational``, read into or out of its integer triple.  Every
+operation is a pure function of its inputs, so everything is thread-safe.
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from types import MappingProxyType
-from typing import Union
 
 
 class NotDivisibleError(ArithmeticError):
     """Division by i*hbar hit a term with an hbar-free coefficient."""
 
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 class _Frozen:
@@ -59,21 +58,19 @@ class GaussianRational(_Frozen):
     """A complex number with exact rational real and imaginary parts.
 
     The value (a + b*i)/d is stored as three ints with d > 0 and
-    gcd(a, b, d) == 1, so each value has exactly one representation and
-    equality is plain field equality.  ``re`` and ``im`` read the parts back
-    as ``Fraction``s in lowest terms.  Arithmetic on two values is a few int
-    products and one gcd; division takes an int or ``Fraction`` divisor only.
+    gcd(a, b, d) == 1, so each value has one representation and equality is
+    field equality.  Int or ``Fraction`` parts go straight into the triple, and
+    ``re`` and ``im`` read them back as reduced ``Fraction``s.  Arithmetic is a
+    few int products and one gcd; it divides by an int or ``Fraction`` only.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
-        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+        if not (isinstance(re, RationalLike) and isinstance(im, RationalLike)):
             raise TypeError(f"parts must be ints or Fractions, not {re!r} and {im!r}")
-        re, im = Fraction(re), Fraction(im)
-        d = lcm(re.denominator, im.denominator)
-        return _gr(re.numerator * (d // re.denominator),
-                   im.numerator * (d // im.denominator), d)
+        return _gr(re.numerator * im.denominator, im.numerator * re.denominator,
+                   re.denominator * im.denominator)
 
     def __reduce__(self):
         return (_gr, (self._a, self._b, self._d))
@@ -117,7 +114,7 @@ class GaussianRational(_Frozen):
         if isinstance(other, GaussianRational):
             a1, b1, a2, b2 = self._a, self._b, other._a, other._b
             return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, RationalLike):
             n = other.numerator
             return _gr(self._a * n, self._b * n, self._d * other.denominator)
         return NotImplemented
@@ -125,7 +122,7 @@ class GaussianRational(_Frozen):
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "GaussianRational":
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalLike):
             return NotImplemented
         n, m = other.numerator, other.denominator
         if not n:
@@ -164,6 +161,7 @@ def _gr(a: int, b: int, d: int) -> GaussianRational:
 
 
 _GR_I = GaussianRational(0, 1)
+_GR_HALF = _make_gr(1, 0, 2)
 
 # Powers of (-i), indexed by exponent mod 4.
 _NEG_I_POW = (
@@ -173,13 +171,11 @@ _NEG_I_POW = (
     GaussianRational(0, 1),
 )
 
-ScalarLike = Union["HbarSeries", GaussianRational, int, Fraction]
-
 
 def _as_gaussian(value: ScalarLike) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, RationalLike):
         return GaussianRational(value)
     raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
@@ -278,7 +274,7 @@ class HbarSeries(_TermMap):
     """
 
     __slots__ = ()
-    _scalars = (GaussianRational, int, Fraction)
+    _scalars = (GaussianRational, RationalLike)
     _coerce = staticmethod(_as_gaussian)
 
     @staticmethod
@@ -290,7 +286,7 @@ class HbarSeries(_TermMap):
     def __mul__(self, other: "HbarSeries | GaussianRational | RationalLike") -> "HbarSeries":
         # No product of nonzero Gaussian rationals is zero: every scaled term stays.
         if not isinstance(other, HbarSeries):
-            if isinstance(other, (GaussianRational, int, Fraction)):
+            if isinstance(other, (GaussianRational, RationalLike)):
                 if not other:
                     return _SERIES_ZERO
                 return _make(HbarSeries, {d: c * other for d, c in self.terms.items()})
@@ -310,7 +306,7 @@ class HbarSeries(_TermMap):
 
 _SERIES_ZERO = HbarSeries._zero = HbarSeries()
 _SERIES_ONE = HbarSeries(1)
-_SCALARS = (HbarSeries, GaussianRational, int, Fraction)
+ScalarLike = HbarSeries | GaussianRational | RationalLike
 
 
 def _as_series(value: ScalarLike) -> HbarSeries:
@@ -354,13 +350,13 @@ class Observable(_TermMap):
     def __mul__(self, other: "Observable | ScalarLike") -> "Observable":
         if isinstance(other, Observable):
             return _product(self, other)
-        if isinstance(other, _SCALARS):
+        if isinstance(other, ScalarLike):
             return scale(other, self)
         return NotImplemented
 
     def __rmul__(self, other: ScalarLike) -> "Observable":
         # Scalars commute, so only Observable * Observable needs order care.
-        if isinstance(other, _SCALARS):
+        if isinstance(other, ScalarLike):
             return scale(other, self)
         return NotImplemented
 
@@ -479,7 +475,7 @@ def _symmetrized(t1: int, r1: int, t2: int, r2: int) -> tuple[tuple[int, HbarSer
     mean = dict(_reordered(t1, r1, t2, r2))
     for j, w in _reordered(t2, r2, t1, r1):
         mean[j] = mean[j] + w if j in mean else w
-    return tuple((j, w * Fraction(1, 2)) for j, w in sorted(mean.items()))
+    return tuple((j, w * _GR_HALF) for j, w in sorted(mean.items()))
 
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)

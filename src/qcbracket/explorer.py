@@ -6,7 +6,8 @@ monomials with coefficient 1 loses nothing: every bracket is bilinear, so a
 violation on polynomial observables restricts to one on a monomial triple.
 
 Scans are deterministic for a given configuration, independent of the worker
-count used to parallelize them.
+count used to parallelize them.  Random observables, for the axiom sweeps, are
+drawn as reduced integer triples and built canonical, with no second pass.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 from math import comb
 from typing import Iterable
@@ -24,6 +24,8 @@ from .algebra import (
     HbarSeries,
     Monomial,
     Observable,
+    _gr,
+    _make,
     monomial_observable,
 )
 from .brackets import (
@@ -204,16 +206,16 @@ def scan(config: ScanConfig, jobs: int = 1) -> list[ViolationRecord]:
 
 
 def _random_gaussian(rng: random.Random) -> GaussianRational:
-    while True:
-        re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        im = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        if re or im:
-            return GaussianRational(re, im)
+    while True:  # a/b + (c/d)*i = (a*d + c*b*i)/(b*d), drawn until nonzero
+        a, b = rng.randint(-9, 9), rng.randint(1, 9)
+        c, d = rng.randint(-9, 9), rng.randint(1, 9)
+        if a or c:
+            return _gr(a * d, c * b, b * d)
 
 
 def _random_series(rng: random.Random) -> HbarSeries:
     degrees = rng.sample((0, 1, 2), rng.randint(1, 2))
-    return HbarSeries({d: _random_gaussian(rng) for d in degrees})
+    return _make(HbarSeries, {d: _random_gaussian(rng) for d in degrees})
 
 
 def _random_from(rng: random.Random, max_degree: int, max_terms: int,
@@ -223,8 +225,8 @@ def _random_from(rng: random.Random, max_degree: int, max_terms: int,
     size = _sector_size(max_degree, sector)
     count = min(rng.randint(1, max_terms), size)
     monos = [_monomial(i, sector) for i in rng.sample(range(size), count)]
-    # Distinct monomials with nonzero coefficients: the result cannot cancel.
-    return Observable({m: _random_series(rng) for m in monos})
+    # Distinct monomials and degrees, nonzero coefficients: canonical as built.
+    return _make(Observable, {m: _random_series(rng) for m in monos})
 
 
 def random_observable(seed: int, max_degree: int = 3, max_terms: int = 4,

@@ -36,6 +36,7 @@ from .algebra import (
     Monomial,
     Observable,
     _gr,
+    _make,
     from_scalar,
     generator,
 )
@@ -325,7 +326,7 @@ class OutputRecord:
     each monomial's "exp", the four exponents, and "coeff", the hbar terms
     with exact rational real and imaginary parts.  Its "canonical_text" is
     derived from those terms, so the reader requires a string there and keeps
-    the text of the terms it read.
+    the text of the terms it read.  Zeros are dropped after the repeat checks.
     """
 
     observable: Observable
@@ -352,7 +353,7 @@ class OutputRecord:
             if type(text := payload["canonical_text"]) is not str:
                 raise ValueError(f"canonical_text is a string, not {text!r}")
             # A dict keeps the last of two entries on one key: refuse them instead.
-            terms: dict[Monomial, HbarSeries] = {}
+            terms: dict[Monomial, dict] = {}
             for term in payload["terms"]:
                 exp, coeff = Observable._key(term["exp"]), {}
                 for c in term["coeff"]:
@@ -368,8 +369,8 @@ class OutputRecord:
                     coeff[degree] = _gr(a * d, e * b, b * d)
                 if exp in terms:
                     raise ValueError(f"repeated exponents {exp} in the record")
-                terms[exp] = HbarSeries(coeff)
-            return cls(Observable(terms))
+                terms[exp] = {degree: g for degree, g in coeff.items() if g}
+            return cls(_make(Observable, {m: _make(HbarSeries, s) for m, s in terms.items() if s}))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed record: {exc!r}") from None
 

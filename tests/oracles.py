@@ -11,11 +11,19 @@ every result must have.  ``format_observable``, ``record_as_dict`` and
 ``record_from_dict`` are, unchanged, the ``Fraction``-based printer, JSON
 writer and JSON reader that the package replaced with ones that read the
 integer triple: the reference for their output, byte for byte, and for the
-values they read.
+values they read.  ``random_gaussian``, ``random_series`` and ``random_from``
+are the draws behind ``random_observable`` and ``axiom_sweep`` before they
+built each coefficient as one integer triple: two ``Fraction``s a coefficient,
+through the public constructors.  They draw the same ints in the same order;
+``random_from`` picks its monomials from a listed pool, which is what the
+package's unranking of drawn positions stands in for.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import gcd
 from typing import Any, Mapping, Union
 
@@ -231,3 +239,39 @@ def record_from_dict(payload: Mapping[str, Any]) -> Observable:
         return Observable(terms)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed record: {exc!r}") from None
+
+
+# --- the Fraction-built random draws ------------------------------------------
+
+def random_gaussian(rng: random.Random) -> GaussianRational:
+    while True:
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if re or im:
+            return GaussianRational(re, im)
+
+
+def random_series(rng: random.Random) -> HbarSeries:
+    degrees = rng.sample((0, 1, 2), rng.randint(1, 2))
+    return HbarSeries({d: random_gaussian(rng) for d in degrees})
+
+
+@lru_cache(maxsize=None)
+def _pool(max_degree: int, sector: str) -> list:
+    """The monomials of ``sector`` up to ``max_degree``: grade ascending, then
+    (n_x, n_k, n_q, n_p) lexicographically ascending."""
+    exponents = product(range(max_degree + 1), repeat=4 if sector == "all" else 2)
+    pool = [e if sector == "all" else (*e, 0, 0) if sector == "classical" else (0, 0, *e)
+            for e in exponents if sum(e) <= max_degree]
+    return sorted(pool, key=lambda m: (sum(m), m))
+
+
+def random_from(rng: random.Random, max_degree: int, max_terms: int,
+                sector: str) -> Observable:
+    # sample picks positions only, so the package's unranked draw of a position
+    # is this pool's entry at that position.
+    pool = _pool(max_degree, sector)
+    count = min(rng.randint(1, max_terms), len(pool))
+    monos = [pool[i] for i in rng.sample(range(len(pool)), count)]
+    # Distinct monomials with nonzero coefficients: the result cannot cancel.
+    return Observable({m: random_series(rng) for m in monos})

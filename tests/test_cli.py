@@ -326,11 +326,17 @@ def test_output_record_rejects_repeated_keys():
     # (1/2)*x and x on one key would read back as x if a dict kept the last.
     half = {"hbar": 0, "re": [1, 2], "im": [0, 1]}
     one = {"hbar": 0, "re": [1, 1], "im": [0, 1]}
+    # A reader that dropped zeros before these checks would keep the second.
+    zero = {"hbar": 0, "re": [0, 3], "im": [0, -5]}
     for terms, message in (
             ([{"exp": [1, 0, 0, 0], "coeff": [half, one]}],
              "repeated hbar degree 0 in the term (1, 0, 0, 0)"),
             ([{"exp": [1, 0, 0, 0], "coeff": [half]}, {"exp": [1, 0, 0, 0], "coeff": [one]}],
-             "repeated exponents (1, 0, 0, 0) in the record")):
+             "repeated exponents (1, 0, 0, 0) in the record"),
+            ([{"exp": [1, 0, 0, 0], "coeff": [zero]}, {"exp": [1, 0, 0, 0], "coeff": [one]}],
+             "repeated exponents (1, 0, 0, 0) in the record"),
+            ([{"exp": [1, 0, 0, 0], "coeff": [zero, one]}],
+             "repeated hbar degree 0 in the term (1, 0, 0, 0)")):
         with pytest.raises(ValueError, match=re.escape(message)):
             OutputRecord.from_dict({"schema": 1, "canonical_text": "(3/2)*x", "terms": terms})
 

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from qcbracket import GaussianRational
 from oracles import FractionGaussian
 
-rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
-                         max_denominator=60)
+# Small parts, and parts past 64 bits, which the constructor's cross products
+# and gcd must carry exactly.
+rationals = (st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=60)
+             | st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**80)))
 integers = st.integers(min_value=-40, max_value=40)
 pairs = st.tuples(rationals, rationals)
 scalars = st.one_of(integers, rationals)
